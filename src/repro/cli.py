@@ -518,7 +518,7 @@ def _serve_daemon(service, client) -> None:
     """
     import json
 
-    from .serve import MAX_LINE_BYTES, decode_request_line
+    from .serve import MAX_LINE_BYTES, decode_request_line, encode_response_line
 
     seq = 0
     for raw in sys.stdin:
@@ -560,8 +560,7 @@ def _serve_daemon(service, client) -> None:
             sys.stdout.flush()
             continue
         for expanded in client.expand([decoded.query]):
-            response = service.submit(expanded)
-            sys.stdout.write(json.dumps(response.to_dict()) + "\n")
+            sys.stdout.write(encode_response_line(service.submit(expanded)))
         sys.stdout.flush()
 
 

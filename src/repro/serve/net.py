@@ -21,9 +21,18 @@ Design (every guarantee here is pinned by ``tests/test_serve_net.py``):
   sender.  A slowloris writer or a mid-line disconnect affects only its
   own connection.
 * **Write backpressure.**  Responses flow through a bounded per-
-  connection outbound queue drained by a single writer task that
-  ``await``\\ s ``drain()`` after every line; a client that stops
+  connection outbound queue drained by a single writer task: each
+  wake-up takes every line already queued, writes them in one
+  ``write`` and ``await``\\ s one ``drain()``; a client that stops
   reading stalls only its own pipeline.
+* **Warm hits inline.**  A query whose answer is already in the
+  service's result LRU is answered on the event loop itself — no
+  executor hop — when no fault plane is armed and the service lock is
+  free at that instant.  Everything else (misses, aggregates, any query
+  while a plane is armed) goes to the thread pool and runs under the
+  service lock.  Either way the response is encoded by
+  :func:`~repro.serve.protocol.encode_response_line`, which reuses a
+  cached report's JSON text.
 * **Admission control.**  Queries admitted while the server-wide
   pending count is at :attr:`NetConfig.max_pending` are refused with an
   explicit ``status: shed`` response through
@@ -32,7 +41,9 @@ Design (every guarantee here is pinned by ``tests/test_serve_net.py``):
 * **Deadlines.**  Every admitted query carries a deadline stamped at
   admission; a query that cannot produce its answer in
   :attr:`NetConfig.deadline_s` comes back as a typed ``error`` naming
-  the query and session — the connection never hangs.
+  the query and session — the connection never hangs.  A pool thread
+  checks the deadline again before any service work, so expired work
+  never takes the service lock.
 * **Graceful shutdown.**  :meth:`NetServer.shutdown` stops accepting,
   lets every connection finish the lines it has already received,
   flushes all in-flight responses, and only then closes sockets
@@ -53,9 +64,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..faults import fault_point, filter_read, filter_write
+from ..faults import fault_point, filter_read, filter_write, is_active
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_rng
 from ..reports.request import ReportRequest
 from .client import QueryFailedError
@@ -69,6 +80,7 @@ from .protocol import (
     QueryRequest,
     QueryResponse,
     decode_request_line,
+    encode_response_line,
 )
 from .service import ProfilingService
 
@@ -245,8 +257,8 @@ class NetServer:
         self._closing = False
         self._executor: Optional[ThreadPoolExecutor] = None
         # The service is not thread-safe (stats, LRU): the pool threads
-        # serialise on this lock; the pool still overlaps deadline waits
-        # and injected latency, which sleep before taking it.
+        # and inline hits serialise on this lock; the pool still overlaps
+        # deadline waits and injected latency, which sleep before it.
         self._service_lock = threading.Lock()
         self._bus = service.bus
 
@@ -445,9 +457,15 @@ class NetServer:
             # accounting path, never a silent drop.
             self.stats.received += 1
             self.stats.shed += 1
-            response = self.service.shed(query)
-            await self._enqueue(conn, response.to_dict())
+            await self._enqueue(conn, self.service.shed(query))
             return
+        if query is not None:
+            response = self._answer_inline(query)
+            if response is not None:
+                self.stats.received += 1
+                self.stats.answered += 1
+                await self._enqueue(conn, response)
+                return
         # Bounded in-flight permits per connection: when they run out
         # the reader stops consuming this socket (read backpressure).
         await conn.inflight.acquire()
@@ -457,6 +475,20 @@ class NetServer:
         task = asyncio.ensure_future(self._process(conn, decoded, query, deadline))
         conn.pending.add(task)
         task.add_done_callback(conn.pending.discard)
+
+    def _answer_inline(self, query: QueryRequest) -> Optional[QueryResponse]:
+        """A warm hit answered on the event loop, or None.
+
+        Only with no fault plane armed (so every ``net.latency`` site,
+        shed and deadline path stays on the pool) and only when the
+        service lock is free right now: the loop never waits on a miss.
+        """
+        if is_active() or not self._service_lock.acquire(blocking=False):
+            return None
+        try:
+            return self.service.submit_cached(query)
+        finally:
+            self._service_lock.release()
 
     async def _process(
         self,
@@ -470,16 +502,22 @@ class NetServer:
         qid = query.id if query is not None else decoded.id
         try:
             remaining = deadline - loop.time()
-            payload: Dict[str, Any]
+            reply: Union[QueryResponse, Dict[str, Any]]
             try:
                 if remaining <= 0:
                     raise asyncio.TimeoutError
                 if query is not None:
                     future = loop.run_in_executor(
-                        self._executor, self._dispatch_query, query
+                        self._executor,
+                        self._dispatch,
+                        self.service.submit,
+                        query,
+                        deadline,
                     )
                     response = await asyncio.wait_for(future, timeout=remaining)
-                    payload = response.to_dict()
+                    if response is None:  # the pool thread saw it expire
+                        raise asyncio.TimeoutError
+                    reply = response
                     if response.status == STATUS_OK:
                         self.stats.answered += 1
                     elif response.status == STATUS_SHED:
@@ -488,11 +526,17 @@ class NetServer:
                         self.stats.errors += 1
                 else:
                     future = loop.run_in_executor(
-                        self._executor, self._dispatch_aggregate, decoded.aggregate
+                        self._executor,
+                        self._dispatch,
+                        self.service.aggregate,
+                        decoded.aggregate,
+                        deadline,
                     )
                     aggregate = await asyncio.wait_for(future, timeout=remaining)
-                    payload = {"id": decoded.id}
-                    payload.update(aggregate.to_dict())
+                    if aggregate is None:
+                        raise asyncio.TimeoutError
+                    reply = {"id": decoded.id}
+                    reply.update(aggregate.to_dict())
                     self.stats.answered += 1
             except asyncio.TimeoutError:
                 self.stats.deadline_exceeded += 1
@@ -502,7 +546,7 @@ class NetServer:
                     f"{label_session!r} missed the "
                     f"{self.config.deadline_s:g}s deadline"
                 )
-                payload = {
+                reply = {
                     "id": qid,
                     "session": label_session,
                     "status": STATUS_ERROR,
@@ -513,52 +557,81 @@ class NetServer:
                 # Nothing may escape a connection handler: whatever the
                 # compute path threw becomes a typed error response.
                 self.stats.errors += 1
-                payload = {
+                reply = {
                     "id": qid,
                     "session": label_session,
                     "status": STATUS_ERROR,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-            await self._enqueue(conn, payload)
+            await self._enqueue(conn, reply)
         finally:
             self._pending -= 1
             conn.inflight.release()
 
-    def _dispatch_query(self, query: QueryRequest) -> QueryResponse:
-        """Runs on a pool thread: chaos latency point, then the service."""
-        fault_point("net.latency")
-        with self._service_lock:
-            return self.service.submit(query)
+    def _dispatch(self, call: Callable[[Any], Any], request: Any, deadline: float):
+        """Runs on a pool thread: chaos latency point, then the service.
 
-    def _dispatch_aggregate(self, request: Any):
+        Returns None without calling the service once ``deadline`` (a
+        ``time.monotonic()`` instant, the event loop's clock) has
+        passed: the caller has already answered with a deadline error.
+        """
         fault_point("net.latency")
+        if time.monotonic() >= deadline:
+            return None
         with self._service_lock:
-            return self.service.aggregate(request)
+            if time.monotonic() >= deadline:
+                return None
+            return call(request)
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    async def _enqueue(self, conn: _Connection, payload: Dict[str, Any]) -> None:
+    async def _enqueue(
+        self, conn: _Connection, reply: Union[QueryResponse, Dict[str, Any]]
+    ) -> None:
         """Queue one response line (bounded: write backpressure)."""
         if conn.broken:
             return  # the peer is gone; responses have nowhere to go
-        await conn.outbound.put(payload)
+        if isinstance(reply, QueryResponse):
+            line = encode_response_line(reply)
+        else:
+            line = json.dumps(reply) + "\n"
+        await conn.outbound.put(line)
 
     async def _write_loop(self, conn: _Connection) -> None:
-        while True:
-            item = await conn.outbound.get()
-            if item is _CLOSE:
-                break
+        """One ``write`` and one ``drain()`` per wake-up.
+
+        Every line already queued goes out together.  ``net.write`` still
+        filters each line on its own, so a fault plan's rng streams
+        advance once per line exactly as with one write per line.
+        """
+        closing = False
+        while not closing:
+            lines = [await conn.outbound.get()]
+            while not conn.outbound.empty():
+                lines.append(conn.outbound.get_nowait())
+            if _CLOSE in lines:
+                closing = True
+                lines = lines[: lines.index(_CLOSE)]
             if conn.broken:
                 continue  # drain without writing so producers never wedge
-            data = (json.dumps(item) + "\n").encode("utf-8")
+            chunks: List[bytes] = []
+            failed = False
+            for line in lines:
+                try:
+                    chunks.append(filter_write("net.write", line.encode("utf-8")))
+                except (OSError, RuntimeError):
+                    failed = True  # the lines before it still go out
+                    break
             try:
-                data = filter_write("net.write", data)
-                conn.writer.write(data)
-                await conn.writer.drain()
-                conn.responses += 1
-                self.stats.responses_written += 1
+                if chunks:
+                    conn.writer.write(b"".join(chunks))
+                    await conn.writer.drain()
+                    conn.responses += len(chunks)
+                    self.stats.responses_written += len(chunks)
             except (ConnectionError, OSError, RuntimeError):
+                failed = True
+            if failed:
                 # Peer closed (or an injected write fault): mark the
                 # connection broken and keep draining the queue so
                 # in-flight producers are released, then wake the reader.

@@ -41,6 +41,23 @@ class ProtocolError(ValueError):
     """A wire document could not be parsed as a query."""
 
 
+class CachedReport:
+    """One answered report payload plus a slot for its JSON text.
+
+    The service's result LRU holds one per key, and every response it
+    answers from that key points at the same instance.  The slot is
+    filled by the first transport that encodes such a response (see
+    :func:`encode_response_line`), never by the service itself, so an
+    in-process caller that never encodes pays nothing for it.
+    """
+
+    __slots__ = ("payload", "text")
+
+    def __init__(self, payload: Dict[str, Any]) -> None:
+        self.payload = payload
+        self.text: Optional[str] = None
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """One query: which session, which report.
@@ -88,6 +105,10 @@ class QueryResponse:
     cached: bool = False
     latency_us: float = 0.0
     extras: Dict[str, Any] = field(default_factory=dict)
+    #: The LRU entry ``report`` came from (its encoded text is reused).
+    cached_report: Optional[CachedReport] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -153,9 +174,38 @@ def parse_queries_jsonl(lines: Iterable[str]) -> List[QueryRequest]:
     return queries
 
 
+def encode_response_line(response: QueryResponse) -> str:
+    """One response as a wire line: ``json.dumps(to_dict()) + "\\n"``.
+
+    Byte for byte the same text, but a report that came from the result
+    LRU is encoded once per cache entry: its JSON text is kept in the
+    entry's slot and spliced between the response's other fields.
+    """
+    entry = response.cached_report
+    data = response.to_dict()
+    if entry is None or entry.payload is not response.report or (
+        data.get("report") is not response.report
+    ):
+        return json.dumps(data) + "\n"
+    if entry.text is None:
+        entry.text = json.dumps(entry.payload)
+    head: Dict[Any, Any] = {}
+    tail: Dict[Any, Any] = {}
+    part = head
+    for key, value in data.items():
+        if key == "report":
+            part = tail
+        else:
+            part[key] = value
+    line = json.dumps(head)[:-1] + ', "report": ' + entry.text
+    if tail:
+        return line + ", " + json.dumps(tail)[1:] + "\n"
+    return line + "}\n"
+
+
 def responses_to_jsonl(responses: Iterable[QueryResponse]) -> str:
     """Serialise responses as JSONL text (one response per line)."""
-    return "\n".join(json.dumps(r.to_dict()) for r in responses) + "\n"
+    return "".join(encode_response_line(r) for r in responses)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Scale-out structure:
 
 * **Result LRU** — answered wire payloads are cached on
   ``(session, backend, window, owners)``; an unchanged question is a
-  dictionary lookup, never a recomputation.
+  dictionary lookup, never a recomputation, and a transport encodes
+  each cached payload's JSON once (:class:`~repro.serve.CachedReport`).
 * **Shard-per-worker** — sessions hash-partition over ``workers``
   shards (stable crc32 of the session name); with ``workers > 1`` a
   batch's cache misses fan out through the existing
@@ -51,6 +52,7 @@ from .protocol import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
+    CachedReport,
     QueryRequest,
     QueryResponse,
 )
@@ -225,32 +227,50 @@ class SessionRecord:
 
 
 class ResultLRU:
-    """Bounded answered-payload cache keyed on the query identity."""
+    """Bounded answered-payload cache keyed on the query identity.
+
+    Each entry is a :class:`~repro.serve.protocol.CachedReport`: the
+    payload plus a slot a transport fills with its JSON text.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[Any, ...], Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[Any, ...], CachedReport]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Tuple[Any, ...]) -> Optional[Dict[str, Any]]:
-        """The cached payload, refreshed to most-recent, or None."""
-        payload = self._entries.get(key)
-        if payload is None:
-            self.misses += 1
+    def entry(
+        self, key: Tuple[Any, ...], count_miss: bool = True
+    ) -> Optional[CachedReport]:
+        """The cached entry, refreshed to most-recent, or None.
+
+        ``count_miss=False`` probes without counting a miss (a hit is
+        always counted): the caller will look the key up again.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            if count_miss:
+                self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return payload
+        return entry
 
-    def store(self, key: Tuple[Any, ...], payload: Dict[str, Any]) -> None:
-        """Record one answered payload, evicting the least recent."""
+    def store(
+        self, key: Tuple[Any, ...], payload: Dict[str, Any]
+    ) -> Optional[CachedReport]:
+        """Record one answered payload, evicting the least recent.
+
+        Returns the new entry (None when the cache is disabled).
+        """
         if self.capacity <= 0:
-            return
-        self._entries[key] = payload
+            return None
+        entry = CachedReport(payload)
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+        return entry
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -470,9 +490,9 @@ class ProfilingService:
         """Answer one query in-process (cache first, then compute)."""
         started = time.perf_counter()
         self.stats.received += 1
-        cached_payload = self.cache.get(query.key())
-        if cached_payload is not None:
-            return self._finish(query, cached_payload, started, cached=True)
+        entry = self.cache.entry(query.key())
+        if entry is not None:
+            return self._finish(query, entry.payload, started, True, entry)
         try:
             payload = self._answer(query)
         except UnknownSessionError as exc:
@@ -485,8 +505,22 @@ class ProfilingService:
             return self._finish_error(
                 query, f"{type(exc).__name__}: {exc}", started
             )
-        self.cache.store(query.key(), payload)
-        return self._finish(query, payload, started, cached=False)
+        entry = self.cache.store(query.key(), payload)
+        return self._finish(query, payload, started, False, entry)
+
+    def submit_cached(self, query: QueryRequest) -> Optional[QueryResponse]:
+        """Answer ``query`` from the result LRU alone, or return None.
+
+        A hit is counted exactly as :meth:`submit` counts it; a miss is
+        not counted at all, so the caller can hand the query to
+        :meth:`submit` afterwards.  Never computes, never blocks.
+        """
+        started = time.perf_counter()
+        entry = self.cache.entry(query.key(), count_miss=False)
+        if entry is None:
+            return None
+        self.stats.received += 1
+        return self._finish(query, entry.payload, started, True, entry)
 
     def aggregate(self, request: "AggregateRequest") -> "AggregateResponse":
         """Answer one fleet aggregate across this service's sessions.
@@ -555,10 +589,10 @@ class ProfilingService:
         for query in admitted:
             self.stats.received += 1
             started = time.perf_counter()
-            cached_payload = self.cache.get(query.key())
-            if cached_payload is not None:
+            entry = self.cache.entry(query.key())
+            if entry is not None:
                 responses.append(
-                    self._finish(query, cached_payload, started, cached=True)
+                    self._finish(query, entry.payload, started, True, entry)
                 )
                 continue
             if query.session not in self.sessions:
@@ -655,7 +689,9 @@ class ProfilingService:
                 if response.ok and response.report is not None:
                     # The miss was already counted when _drain probed the
                     # cache; just fold the remote answer in.
-                    self.cache.store(query.key(), response.report)
+                    response.cached_report = self.cache.store(
+                        query.key(), response.report
+                    )
                 self._note(query, response)
                 responses.append(response)
         return responses
@@ -674,6 +710,7 @@ class ProfilingService:
         payload: Dict[str, Any],
         started: float,
         cached: bool,
+        entry: Optional[CachedReport] = None,
     ) -> QueryResponse:
         response = QueryResponse(
             id=query.id,
@@ -682,6 +719,7 @@ class ProfilingService:
             report=payload,
             cached=cached,
             latency_us=(time.perf_counter() - started) * 1e6,
+            cached_report=entry,
         )
         self._note(query, response)
         return response

@@ -4,7 +4,9 @@ Two contracts, pinned with hypothesis:
 
 * **round-trip identity** — any valid query / aggregate / response
   object survives encode → frame → chunked reassembly → decode exactly
-  (the same `DecodedLine` both serving front-ends consume);
+  (the same `DecodedLine` both serving front-ends consume), and the
+  response encoder that splices cached report text writes exactly the
+  bytes ``json.dumps(response.to_dict()) + "\\n"`` would;
 * **never-raise degradation** — `decode_request_line` turns arbitrary
   garbage, truncation, and type confusion into a typed ``error`` result
   and never lets an exception escape (an escaping exception would kill
@@ -21,10 +23,12 @@ from repro.aggregate import AggregateRequest
 from repro.aggregate.request import GROUP_BYS, OPS
 from repro.reports import BACKENDS, ReportRequest
 from repro.serve import (
+    CachedReport,
     LineAssembler,
     QueryRequest,
     QueryResponse,
     decode_request_line,
+    encode_response_line,
 )
 
 # ----------------------------------------------------------------------
@@ -159,6 +163,37 @@ class TestRoundTrips:
         line = json.dumps(response.to_dict())
         rebuilt = QueryResponse.from_dict(json.loads(line))
         assert rebuilt.to_dict() == response.to_dict()
+
+    @given(
+        response=query_responses(),
+        extras=st.dictionaries(
+            st.one_of(
+                st.sampled_from(("id", "status", "report", "error", "op")),
+                st.text(max_size=8),
+            ),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(allow_nan=False),
+                st.text(max_size=8),
+            ),
+            max_size=3,
+        ),
+        slot=st.sampled_from(("none", "empty", "filled")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_response_encoder_is_byte_identical(self, response, extras, slot):
+        """The spliced encoder writes exactly ``json.dumps(to_dict())``."""
+        response.extras = extras
+        if slot != "none" and response.report is not None:
+            response.cached_report = CachedReport(response.report)
+            if slot == "filled":
+                response.cached_report.text = json.dumps(response.report)
+        expected = json.dumps(response.to_dict()) + "\n"
+        assert encode_response_line(response) == expected
+        # Again, now that the first encode may have filled the slot.
+        assert encode_response_line(response) == expected
 
     @given(
         queries=st.lists(query_requests(), min_size=1, max_size=8),

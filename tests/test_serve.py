@@ -115,6 +115,24 @@ class TestServing:
         assert first.report == second.report
         assert service.cache.hits == 1 and service.cache.misses == 1
 
+    def test_submit_cached_counts_hits_and_ignores_misses(self, service):
+        (query,) = ServiceClient(service).build("scene", "eandroid")
+        # A miss answers nothing and counts nothing: the caller falls
+        # back to submit, which counts it once.
+        assert service.submit_cached(query) is None
+        assert service.stats.received == 0
+        assert service.cache.hits == service.cache.misses == 0
+        first = service.submit(query)
+        hit = service.submit_cached(query)
+        assert hit is not None and hit.cached and hit.ok
+        assert hit.report is first.report
+        assert hit.cached_report is first.cached_report is not None
+        # submit never fills the report-text slot; only an encoder does.
+        assert first.cached_report.text is None
+        stats = service.stats
+        assert stats.received == stats.answered == 2
+        assert service.cache.hits == 1 and service.cache.misses == 1
+
     def test_unknown_session_is_error(self, service):
         (query,) = ServiceClient(service).build("ghost", "energy")
         response = service.submit(query)
@@ -310,3 +328,23 @@ class TestStdinDaemon:
         out = self._run_daemon(service, [line + "\n"], monkeypatch, capsys)
         assert [r["status"] for r in out] == [STATUS_OK]
         assert out[0]["report"]["total_j"] > 0.0
+
+    def test_repeat_query_lines_are_exact_and_reuse_report_text(
+        self, service, monkeypatch, capsys
+    ):
+        import io
+
+        from repro.cli import _serve_daemon
+
+        line = json.dumps({"id": 3, "session": "scene", "backend": "eandroid"})
+        monkeypatch.setattr("sys.stdin", io.StringIO((line + "\n") * 2))
+        _serve_daemon(service, ServiceClient(service))
+        wire = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(wire) == 2
+        for raw in wire:
+            doc = json.loads(raw)
+            assert raw == json.dumps(QueryResponse.from_dict(doc).to_dict()) + "\n"
+        assert [json.loads(raw)["cached"] for raw in wire] == [False, True]
+        # The first encode filled the entry's slot; the hit reused it.
+        (entry,) = service.cache._entries.values()
+        assert entry.text == json.dumps(json.loads(wire[1])["report"])

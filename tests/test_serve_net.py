@@ -10,9 +10,13 @@ The contracts under test (see ``docs/SERVING.md``, "Network serving"):
   written;
 * one misbehaving connection — a mid-line disconnect, a slowloris
   writer — never wedges the others;
-* deadlines surface as typed errors naming the query, never hangs;
+* deadlines surface as typed errors naming the query, never hangs, and
+  work that has already expired never runs the service;
 * graceful shutdown flushes in-flight responses before closing;
-* payloads served over TCP are byte-identical to the in-process path.
+* payloads served over TCP are byte-identical to the in-process path;
+* warm hits answered on the event loop and coalesced writes keep the
+  same accounting and the same wire bytes, and a fault plane still
+  sees every query at its ``net.latency`` site.
 
 No pytest-asyncio in the environment: every test drives its own event
 loop via ``asyncio.run``.
@@ -20,10 +24,12 @@ loop via ``asyncio.run``.
 
 import asyncio
 import json
+import sys
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, activate
+from repro.faults.plane import FaultPlane
 from repro.faults.retry import RetryPolicy
 from repro.faults.soak import canonical_report_bytes
 from repro.offline import capture_trace
@@ -37,8 +43,10 @@ from repro.serve import (
     NetServer,
     ProfilingService,
     QueryRequest,
+    QueryResponse,
     ServiceConfig,
 )
+from repro.serve.net import _CLOSE, _Connection
 from repro.telemetry import capture
 from repro.workloads import run_scene1
 
@@ -60,6 +68,10 @@ def _query(qid: int, backend: str = "eandroid", session: str = "scene"):
     return QueryRequest(
         id=qid, session=session, report=ReportRequest(backend=backend)
     )
+
+
+def _line(qid: int, backend: str = "eandroid", session: str = "scene") -> bytes:
+    return (json.dumps(_query(qid, backend, session).to_dict()) + "\n").encode()
 
 
 def _latency_plan(delay_ms: float, max_injections: int = 1) -> FaultPlan:
@@ -357,6 +369,40 @@ class TestDeadlinesAndShedding:
             server.stats.answered + server.stats.errors + server.stats.shed
         )
 
+    def test_expired_work_never_runs_the_service(self, service):
+        """One slow query must not push expired work through the lock."""
+        config = NetConfig(deadline_s=0.2, pool_workers=1)
+
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            # A draws the one 1.5 s latency injection; B-E queue behind
+            # it on the single pool thread.  All five time out.
+            for qid in range(1, 6):
+                writer.write(_line(qid))
+            await writer.drain()
+            expired = [
+                json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                for _ in range(5)
+            ]
+            await asyncio.sleep(1.5)  # A's injected sleep is over
+            writer.write(_line(6))
+            await writer.drain()
+            late = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+            writer.close()
+            return expired, late
+
+        with activate(_latency_plan(1500.0), seed=0):
+            server, (expired, late) = run_net(service, config, scenario)
+        assert sorted(r["id"] for r in expired) == [1, 2, 3, 4, 5]
+        for response in expired:
+            assert response["status"] == STATUS_ERROR
+            assert "deadline exceeded" in response["error"]
+        assert late["id"] == 6 and late["status"] == STATUS_OK
+        assert server.stats.deadline_exceeded == 5
+        # F runs after A-E on the one FIFO pool thread, so this is the
+        # count of service calls the five expired items made: zero.
+        assert service.stats.received == service.stats.answered == 1
+
     def test_shed_resubmit_recovers_through_the_retry_policy(self, service):
         config = NetConfig(max_pending=1, pool_workers=1)
         slow_line = b'{"id": 1, "session": "scene", "backend": "energy"}\n'
@@ -417,6 +463,209 @@ class TestDeadlinesAndShedding:
             return True
 
         run_net(service, NetConfig(), scenario)
+
+
+# ----------------------------------------------------------------------
+# the warm path: inline hits and coalesced writes
+# ----------------------------------------------------------------------
+class _RecordingWriter:
+    """A stream-writer stand-in that records each ``write``."""
+
+    def __init__(self):
+        self.writes = []
+        self.aborted = False
+        self.transport = self
+
+    def get_extra_info(self, name):
+        return ("test", 0)
+
+    def write(self, data):
+        self.writes.append(data)
+
+    async def drain(self):
+        pass
+
+    def abort(self):
+        self.aborted = True
+
+
+def _run_write_loop(service, lines):
+    """Queue ``lines`` then close; run one connection's writer to the end."""
+
+    async def main():
+        server = NetServer(service, NetConfig())
+        writer = _RecordingWriter()
+        conn = _Connection(1, None, writer, server.config)
+        for line in lines:
+            conn.outbound.put_nowait(line)
+        conn.outbound.put_nowait(_CLOSE)
+        await asyncio.wait_for(server._write_loop(conn), timeout=10.0)
+        return server, conn, writer
+
+    return asyncio.run(main())
+
+
+class TestWarmPath:
+    HITS = 64
+
+    def test_pipelined_warm_hits_keep_accounting_and_exact_bytes(self, service):
+        service.submit(_query(0))  # warm the key
+
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(_line(qid) for qid in range(1, self.HITS + 1)))
+            await writer.drain()
+            lines = [
+                await asyncio.wait_for(reader.readline(), 10.0)
+                for _ in range(self.HITS)
+            ]
+            writer.close()
+            return lines
+
+        server, lines = run_net(service, NetConfig(), scenario)
+        docs = [json.loads(line) for line in lines]
+        assert sorted(d["id"] for d in docs) == list(range(1, self.HITS + 1))
+        assert all(d["status"] == STATUS_OK and d["cached"] for d in docs)
+        for line, doc in zip(lines, docs):
+            wire = json.dumps(QueryResponse.from_dict(doc).to_dict()) + "\n"
+            assert line == wire.encode("utf-8")
+        net = server.stats
+        assert net.received == net.answered + net.errors + net.shed == self.HITS
+        assert net.responses_written == self.HITS
+        svc = service.stats
+        assert svc.received == svc.answered + svc.errors + svc.shed == self.HITS + 1
+        # Answered on the event loop: the pool never started a thread.
+        assert not server._executor._threads
+
+    def test_inline_hits_and_pool_misses_under_thread_stress(self, service):
+        """Loop-thread hits and pool-thread misses share the service
+        under one lock: with more pool threads than cores and a tiny
+        switch interval, a lost counter update would break the sums."""
+        clients, per_client = 4, 24
+        service.submit(_query(0))
+
+        def query(client, i):
+            if i % 3:
+                return _query(i)  # the warm key
+            window = ReportRequest(backend="energy", start=client + i * 1e-3)
+            return QueryRequest(id=i, session="scene", report=window)
+
+        async def scenario(server, host, port):
+            async def drive(client):
+                async with AsyncServiceClient(host, port) as conn:
+                    return await conn.submit_all(
+                        [query(client, i) for i in range(1, per_client + 1)]
+                    )
+
+            return await asyncio.wait_for(
+                asyncio.gather(*(drive(c) for c in range(clients))), 60.0
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            server, results = run_net(service, NetConfig(pool_workers=4), scenario)
+        finally:
+            sys.setswitchinterval(interval)
+        responses = [r for batch in results for r in batch]
+        assert len(responses) == clients * per_client
+        assert all(r.status == STATUS_OK for r in responses)
+        svc = service.stats
+        assert svc.received == svc.answered == clients * per_client + 1
+        # Every answer made exactly one counted cache lookup.
+        assert service.cache.hits + service.cache.misses == svc.received
+        assert server.stats.answered == clients * per_client
+
+    def test_hits_go_to_the_pool_while_the_service_lock_is_held(self, service):
+        service.submit(_query(0))
+        server = NetServer(service, NetConfig())
+        with server._service_lock:
+            assert server._answer_inline(_query(1)) is None
+        assert server._answer_inline(_query(2)).cached
+        assert server._answer_inline(_query(3, backend="energy")) is None  # miss
+
+    def test_armed_plane_sees_every_hot_query_at_net_latency(self, service):
+        service.submit(_query(0))
+        queries = 12
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="net.latency",
+                    kind="latency",
+                    probability=1.0,
+                    max_injections=10 * queries,
+                    delay_ms=1.0,
+                ),
+            )
+        )
+
+        async def scenario(server, host, port):
+            async with AsyncServiceClient(host, port) as client:
+                return await client.submit_all(
+                    [_query(qid) for qid in range(1, queries + 1)]
+                )
+
+        with activate(plan, seed=0) as plane:
+            _, responses = run_net(service, NetConfig(), scenario)
+            injected = plane.summary()["injected"]
+        assert all(r.status == STATUS_OK and r.cached for r in responses)
+        assert injected["net.latency:latency"] == queries
+
+    def test_one_write_per_wake_up(self, service):
+        lines = [f'{{"id": {i}}}\n' for i in range(5)]
+        server, conn, writer = _run_write_loop(service, lines)
+        assert writer.writes == ["".join(lines).encode("utf-8")]
+        assert server.stats.responses_written == conn.responses == 5
+
+    def test_write_fault_mid_batch_breaks_the_connection(self, service):
+        lines = [f'{{"id": {i}}}\n' for i in range(8)]
+        plan = FaultPlan(
+            specs=(FaultSpec("net.write", "io-error", 0.5, max_injections=1),)
+        )
+        # Which line the seeded plan fails on, replayed on a twin plane
+        # (seed 3 fails the third: mid-batch).
+        twin = FaultPlane(plan, seed=3)
+        failing = 0
+        for line in lines:
+            try:
+                twin.filter_write("net.write", line.encode("utf-8"))
+            except OSError:
+                break
+            failing += 1
+        assert 0 < failing < len(lines)
+        with activate(plan, seed=3):
+            server, conn, writer = _run_write_loop(service, lines)
+        # The lines before the fault still go out, in one write.
+        assert writer.writes == ["".join(lines[:failing]).encode("utf-8")]
+        assert server.stats.responses_written == failing
+        assert server.stats.write_errors == 1
+        assert conn.broken and writer.aborted
+
+    def test_write_fault_over_tcp_never_wedges_producers(self, service):
+        service.submit(_query(0))
+        plan = FaultPlan(
+            specs=(FaultSpec("net.write", "io-error", 1.0, max_injections=1),)
+        )
+
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(_line(qid) for qid in range(1, 49)))
+            await writer.drain()
+            try:
+                tail = await asyncio.wait_for(reader.read(), 10.0)
+            except (ConnectionError, OSError):
+                tail = b""
+            writer.close()
+            return tail
+
+        with activate(plan, seed=0):
+            server, tail = run_net(service, NetConfig(pool_workers=2), scenario)
+        assert tail == b""  # the first write failed: nothing reached the peer
+        net = server.stats
+        assert net.write_errors == 1 and net.responses_written == 0
+        assert net.received >= 1
+        assert net.received == net.answered + net.errors + net.shed
+        assert net.connections_closed == 1 and not server._connections
 
 
 # ----------------------------------------------------------------------

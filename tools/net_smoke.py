@@ -10,6 +10,9 @@ writes its share, half-closes, and reads to EOF), then asserts:
 * every query ends ``status: ok`` — zero errors, and every ``shed``
   response is resubmitted (bounded rounds with backoff — the
   protocol's documented caller's move) until it answers;
+* every response line on the wire is exactly
+  ``json.dumps(QueryResponse.from_dict(doc).to_dict()) + "\\n"`` — the
+  in-process encoder's bytes, key order and float text included;
 * the multiset of ``(session, canonical report payload)`` pairs is
   byte-identical to a reference ``responses.jsonl`` produced by the
   in-process ``--queries`` path over the same corpus (ids differ by
@@ -89,6 +92,21 @@ def start_server(batch: str, timeout_s: float = 120.0):
             return proc, host, int(port_text)
 
 
+def check_wire_bytes(raw: bytes) -> dict:
+    """Parse one response line; exit unless its bytes are the canonical
+    encoding of the response it decodes to."""
+    from repro.serve import QueryResponse
+
+    doc = json.loads(raw)
+    expected = json.dumps(QueryResponse.from_dict(doc).to_dict()) + "\n"
+    if raw != expected.encode("utf-8"):
+        raise SystemExit(
+            "TCP response bytes differ from the in-process encoding: "
+            f"got {raw[:200]!r}, expected {expected[:200]!r}"
+        )
+    return doc
+
+
 async def run_client(
     host: str, port: int, lines: List[str], timeout_s: float
 ) -> List[dict]:
@@ -101,7 +119,7 @@ async def run_client(
             raw = await asyncio.wait_for(reader.readline(), timeout=timeout_s)
             if not raw:
                 return responses
-            responses.append(json.loads(raw))
+            responses.append(check_wire_bytes(raw))
 
     # Read concurrently with writing: a client that writes its whole
     # share first can deadlock against server write backpressure once
@@ -231,8 +249,9 @@ def main(argv=None) -> int:
         )
     print(
         f"net smoke ok: {len(ok)} response(s) over {active} "
-        f"concurrent client(s), payload multiset byte-identical to "
-        f"{args.reference}, graceful shutdown exit 0"
+        f"concurrent client(s), every line in canonical wire bytes, "
+        f"payload multiset byte-identical to {args.reference}, "
+        f"graceful shutdown exit 0"
     )
     return 0
 
