@@ -54,7 +54,6 @@ from .manifest import (
     IntentFilterDecl,
     launcher_filter,
 )
-from .observers import FrameworkObserver, ObserverRegistry
 from .package_manager import FIRST_APPLICATION_UID, PackageManager
 from .power_manager import (
     FULL_WAKE_LOCK,
@@ -105,8 +104,6 @@ __all__ = [
     "TaskRecord",
     "TaskStackSupervisor",
     "ForegroundTimeline",
-    "FrameworkObserver",
-    "ObserverRegistry",
     "Intent",
     "ComponentName",
     "explicit",

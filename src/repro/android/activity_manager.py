@@ -56,6 +56,16 @@ ResolverPolicy = Callable[
 
 ServiceKey = Tuple[str, str]  # (package, class name)
 
+#: The Activity callback run on entering each lifecycle state.
+_LIFECYCLE_HOOKS: Dict[ActivityState, str] = {
+    ActivityState.CREATED: "on_create",
+    ActivityState.STARTED: "on_start",
+    ActivityState.RESUMED: "on_resume",
+    ActivityState.PAUSED: "on_pause",
+    ActivityState.STOPPED: "on_stop",
+    ActivityState.DESTROYED: "on_destroy",
+}
+
 
 class ActivityManager:
     """Component lifecycle orchestration and the framework event source."""
@@ -558,16 +568,8 @@ class ActivityManager:
         self._transition(record, ActivityState.RESUMED)
 
     def _transition(self, record: ActivityRecord, target: ActivityState) -> None:
-        hooks = {
-            ActivityState.CREATED: record.instance.on_create,
-            ActivityState.STARTED: record.instance.on_start,
-            ActivityState.RESUMED: record.instance.on_resume,
-            ActivityState.PAUSED: record.instance.on_pause,
-            ActivityState.STOPPED: record.instance.on_stop,
-            ActivityState.DESTROYED: record.instance.on_destroy,
-        }
         record.state = target
-        hooks[target]()
+        getattr(record.instance, _LIFECYCLE_HOOKS[target])()
 
     def _teardown(self, record: ActivityRecord) -> None:
         """Run the remaining lifecycle down to DESTROYED."""

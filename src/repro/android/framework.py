@@ -13,8 +13,7 @@ Every observable event in the device flows through one
 :class:`~repro.telemetry.TelemetryBus` (``system.telemetry``): framework
 services publish typed activity/service/wakelock/screen events, the sim
 kernel publishes dispatch/timer spans, and the hardware meter publishes
-draw changes.  Legacy :class:`FrameworkObserver` registration still
-works through the :class:`ObserverRegistry` bridge.
+draw changes.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .intent import (
     Intent,
     implicit,
 )
-from .observers import FrameworkObserver, ObserverRegistry
 from .package_manager import PackageManager
 from .power_manager import PowerManagerService
 from .settings import SettingsProvider
@@ -67,7 +65,6 @@ class AndroidSystem:
         self.battery = Battery(self.kernel, self.hardware.meter, profile.battery_capacity_j)
         self.processes = ProcessTable()
         self.binder = Binder(self.processes)
-        self.observers = ObserverRegistry(self.telemetry)
         self.package_manager = PackageManager()
         self.settings = SettingsProvider(self.package_manager, lambda: self.kernel.now)
         self.display = DisplayManager(
@@ -129,14 +126,6 @@ class AndroidSystem:
         """
         self.am.force_stop(package)
         self.package_manager.uninstall(package)
-
-    def register_observer(self, observer: FrameworkObserver) -> None:
-        """Attach a legacy framework observer via the compat bridge.
-
-        Deprecated in favour of subscribing to ``self.telemetry``
-        directly with typed events; kept for existing tools and tests.
-        """
-        self.observers.register(observer)
 
     # ------------------------------------------------------------------
     # device-level user operations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .app import Context
@@ -108,7 +108,10 @@ class ServiceRecord:
         self.create_time = create_time
         self.state = ServiceState.CREATED
         self.started = False
-        self.connections: Set[ServiceConnection] = set()
+        # Ordered by binding (a dict used as an ordered set): force-stop
+        # publishes one unbind per connection in this order, and a set of
+        # identity-hashed connections would order them by memory address.
+        self.connections: Dict[ServiceConnection, None] = {}
         # uid -> number of live connections from that uid, for quick
         # "who keeps this alive" queries in the battery interface.
         self.client_counts: Dict[int, int] = {}
@@ -120,14 +123,14 @@ class ServiceRecord:
 
     def add_connection(self, connection: ServiceConnection) -> None:
         """Track a new binding."""
-        self.connections.add(connection)
+        self.connections[connection] = None
         self.client_counts[connection.client_uid] = (
             self.client_counts.get(connection.client_uid, 0) + 1
         )
 
     def remove_connection(self, connection: ServiceConnection) -> None:
         """Drop a binding."""
-        self.connections.discard(connection)
+        self.connections.pop(connection, None)
         count = self.client_counts.get(connection.client_uid, 0)
         if count <= 1:
             self.client_counts.pop(connection.client_uid, None)

@@ -207,6 +207,41 @@ def bench_fuzz_oracle_step(repeats: int) -> BenchMeasurement:
     )
 
 
+def bench_eandroid_hook(repeats: int) -> BenchMeasurement:
+    """Table I's hook cost: one 800-op scenario with E-Android attached.
+
+    Each repeat runs the same generated script twice on fresh devices,
+    detached and then attached; ``times_s`` holds the attached runs and
+    the detached twin's median rides along with the overhead percent.
+    """
+    from ..check.generator import generate_scenario
+    from ..check.runner import ScenarioExecutor
+
+    scenario = generate_scenario(1600, ops=800)
+    times: List[float] = []
+    detached_times: List[float] = []
+    links = 0
+    for _ in range(repeats):
+        for attach, samples in ((False, detached_times), (True, times)):
+            executor = ScenarioExecutor(scenario, attach=attach)
+            started = time.perf_counter()
+            executor.run()
+            samples.append(time.perf_counter() - started)
+            if attach:
+                links = len(executor.ea.accounting.attack_log())
+    median = sorted(times)[len(times) // 2]
+    median_detached = sorted(detached_times)[len(detached_times) // 2]
+    return BenchMeasurement(
+        times_s=times,
+        metrics={
+            "ops": len(scenario.ops),
+            "links": links,
+            "detached_median_s": median_detached,
+            "hook_overhead_pct": 100.0 * (median - median_detached) / median_detached,
+        },
+    )
+
+
 def _build_serve_service():
     """One in-process query service over a captured attack trace."""
     from ..offline import capture_trace
@@ -670,6 +705,12 @@ for _order, _spec in enumerate(
             runner=bench_fuzz_oracle_step,
             kind="macro",
             description="conformance scenario with step oracles every op",
+        ),
+        BenchSpec(
+            name="eandroid_hook",
+            runner=bench_eandroid_hook,
+            kind="macro",
+            description="800-op scenario attached vs detached (Table I hook cost)",
         ),
         BenchSpec(
             name="serve_throughput",

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Set, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..android.framework import AndroidSystem
     from ..core.eandroid import EAndroid
+    from ..core.links import AttackLink
 
 # Conservation identities use the property-test tolerance; charge bounds
 # allow the meter's interval-arithmetic slack.
@@ -79,18 +80,56 @@ def energy_conservation(system: "AndroidSystem", ea: "EAndroid") -> List[OracleV
     return out
 
 
+def _reference_reachable(live_links: Sequence["AttackLink"], host: int) -> Set[int]:
+    """Targets reachable from ``host`` by a plain scan of the live links.
+
+    Deliberately independent of :class:`~repro.core.links.LinkGraph`'s
+    adjacency indexes and walks, which this oracle is checking.
+    """
+    reached: Set[int] = set()
+    nodes = {host}
+    grew = True
+    while grew:
+        grew = False
+        for link in live_links:
+            target = link.target
+            if link.driving_uid in nodes and target != host and target not in reached:
+                reached.add(target)
+                nodes.add(target)
+                grew = True
+    return reached
+
+
 def map_link_consistency(system: "AndroidSystem", ea: "EAndroid") -> List[OracleViolation]:
-    """Open map elements mirror live-link reachability exactly."""
+    """Open map elements mirror live-link reachability exactly.
+
+    Every uid that ever drove a link, and every uid with a map, is
+    checked against a reachability computed here from the raw link
+    lists, not through the link graph's own indexes.
+    """
     out: List[OracleViolation] = []
-    graph = ea.accounting.graph
-    for host in sorted(graph.hosts()):
-        open_targets = ea.accounting.map_for(host).open_targets()
-        reachable = graph.reachable_from(host)
+    accounting = ea.accounting
+    live_links = [link for link in accounting.graph.all_links() if link.alive]
+    hosts = {link.driving_uid for link in accounting.graph.all_links()}
+    hosts |= accounting.maps.hosts()
+    for host in sorted(hosts):
+        host_map = accounting.map_for(host)
+        open_targets = {
+            target for target, element in host_map.items() if element.is_open
+        }
+        reachable = _reference_reachable(live_links, host)
         if open_targets != reachable:
             out.append(OracleViolation(
                 "map_link_consistency",
                 f"host {host}: open elements {sorted(open_targets)} != "
                 f"reachable {sorted(reachable)}",
+            ))
+        indexed = host_map.open_targets()
+        if indexed != open_targets:
+            out.append(OracleViolation(
+                "map_link_consistency",
+                f"host {host}: open-target index {sorted(indexed)} != "
+                f"open elements {sorted(open_targets)}",
             ))
     return out
 

@@ -18,7 +18,12 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..power.meter import SCREEN_OWNER, EnergyMeter
-from ..telemetry import AttackWindowBeginEvent, AttackWindowEndEvent, TelemetryBus
+from ..telemetry import (
+    AttackWindowBeginEvent,
+    AttackWindowEndEvent,
+    Category,
+    TelemetryBus,
+)
 from .energy_map import CollateralEnergyMap, CollateralMapSet
 from .links import SCREEN_TARGET, AttackKind, AttackLink, LinkGraph
 from .policy import ChargePolicy, FullCharge
@@ -70,38 +75,48 @@ class EAndroidAccounting:
         self, kind: AttackKind, driving_uid: int, target: int, detail: str = ""
     ) -> AttackLink:
         """Open an attack link and update every affected map."""
-        link = self.graph.begin(
-            kind, driving_uid, target, self._kernel.now, detail=detail
-        )
-        self.maps.sync(self._kernel.now, self.graph)
-        if self._telemetry is not None:
-            self._telemetry.publish(
-                AttackWindowBeginEvent(
-                    time=link.begin_time,
-                    kind=kind.value,
-                    attacker_uid=driving_uid,
-                    target=target,
-                    link_id=link.link_id,
-                    detail=detail,
+        now = self._kernel.now
+        link = self.graph.begin(kind, driving_uid, target, now, detail)
+        self.maps.link_opened(now, self.graph, driving_uid, target)
+        telemetry = self._telemetry
+        if telemetry is not None:
+            if telemetry.wants(Category.ATTACK):
+                telemetry.publish(
+                    AttackWindowBeginEvent(
+                        time=now,
+                        kind=kind.value,
+                        attacker_uid=driving_uid,
+                        target=target,
+                        link_id=link.link_id,
+                        detail=detail,
+                    )
                 )
-            )
+            else:
+                telemetry.tick(Category.ATTACK, now)
         return link
 
     def end_attack(self, link: AttackLink) -> None:
         """Close an attack link and update every affected map."""
-        self.graph.end(link, self._kernel.now)
-        self.maps.sync(self._kernel.now, self.graph)
-        if self._telemetry is not None:
-            self._telemetry.publish(
-                AttackWindowEndEvent(
-                    time=self._kernel.now,
-                    kind=link.kind.value,
-                    attacker_uid=link.driving_uid,
-                    target=link.target,
-                    link_id=link.link_id,
-                    duration_s=link.duration(self._kernel.now),
+        now = self._kernel.now
+        self.graph.end(link, now)
+        # A parallel live link keeps the edge, so nobody's reach changes.
+        if not self.graph.has_live(link.driving_uid, link.target):
+            self.maps.sync(now, self.graph, link.driving_uid)
+        telemetry = self._telemetry
+        if telemetry is not None:
+            if telemetry.wants(Category.ATTACK):
+                telemetry.publish(
+                    AttackWindowEndEvent(
+                        time=now,
+                        kind=link.kind.value,
+                        attacker_uid=link.driving_uid,
+                        target=link.target,
+                        link_id=link.link_id,
+                        duration_s=link.duration(now),
+                    )
                 )
-            )
+            else:
+                telemetry.tick(Category.ATTACK, now)
 
     # ------------------------------------------------------------------
     # energy queries

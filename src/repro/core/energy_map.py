@@ -6,9 +6,11 @@ apps/screen currently (or previously) charged to it, each with the exact
 time windows during which the charge accrues.
 
 The map layer is deliberately dumb about *why* windows open and close —
-that is the link graph's job.  :class:`CollateralMapSet.sync` diffs the
-reachability of every host against the currently-open elements and
-opens/closes windows accordingly, which realises Algorithm 1's
+that is the link graph's job.  :meth:`CollateralMapSet.sync` diffs the
+reachability of the hosts a link change can affect against their
+currently-open elements and opens/closes windows accordingly (and
+:meth:`CollateralMapSet.link_opened` does the same for a link opening
+without walking the graph), which realises Algorithm 1's
 ``AddElement`` / attack-state updates including chain propagation.
 """
 
@@ -83,6 +85,8 @@ class CollateralEnergyMap:
     def __init__(self, host_uid: int) -> None:
         self.host_uid = host_uid
         self._elements: Dict[int, ElementWindow] = {}
+        # Targets whose window is open, kept in step by open()/close().
+        self._open: Set[int] = set()
 
     def element(self, target: int) -> ElementWindow:
         """The window record for a target (created on demand)."""
@@ -92,9 +96,31 @@ class CollateralEnergyMap:
             self._elements[target] = window
         return window
 
+    def open(self, target: int, time: float) -> bool:
+        """Open ``target``'s window; returns whether it was closed."""
+        window = self._elements.get(target)
+        if window is None:
+            window = self._elements[target] = ElementWindow(target=target)
+        if window.open(time):
+            self._open.add(target)
+            return True
+        return False
+
+    def close(self, target: int, time: float) -> bool:
+        """Close ``target``'s window; returns whether it was open."""
+        window = self._elements.get(target)
+        if window is not None and window.close(time):
+            self._open.discard(target)
+            return True
+        return False
+
     def open_targets(self) -> Set[int]:
         """Targets currently accruing charge."""
-        return {t for t, w in self._elements.items() if w.is_open}
+        return set(self._open)
+
+    def is_open(self, target: int) -> bool:
+        """Whether ``target`` is currently accruing charge."""
+        return target in self._open
 
     def all_targets(self) -> Set[int]:
         """Every target that ever appeared in the map."""
@@ -142,26 +168,81 @@ class CollateralMapSet:
 
     def maps_containing(self, target: int) -> List[CollateralEnergyMap]:
         """Maps whose *open* elements include ``target`` (Algorithm 1's Mp)."""
-        return [
-            m for m in self._maps.values() if target in m.open_targets()
-        ]
+        return [m for m in self._maps.values() if m.is_open(target)]
 
-    def sync(self, now: float, graph: LinkGraph) -> None:
-        """Diff reachability against open elements for every host.
+    def sync(self, now: float, graph: LinkGraph, changed_uid: int) -> None:
+        """Re-diff reachability after a link driven by ``changed_uid`` changed.
 
-        For each host: targets newly reachable over live links open a
-        window; open targets no longer reachable close theirs.  Running
-        this after every link begin/end implements Algorithm 1 — the
-        parent-map additions (lines 8-10) and the service back-
+        For each re-diffed host, targets newly reachable over live links
+        open a window and open targets no longer reachable close theirs.
+        Running this after every link begin/end implements Algorithm 1 —
+        the parent-map additions (lines 8-10) and the service back-
         propagation (lines 11-15) are both just reachability.
+
+        Only ``changed_uid`` and the hosts with a live path to it can
+        gain or lose a target when an edge d -> t out of it opens or
+        closes, since any path through that edge first reaches d.  And
+        if d's own reachable set is unchanged, so is every other
+        host's: t was (and stays) reachable from d some other way, so
+        every path through d -> t has a detour that avoids it.  So d is
+        re-diffed first, and the hosts reaching it only when d changed.
         """
-        for host in graph.hosts():
-            host_map = self.map_for(host)
-            reachable = graph.reachable_from(host)
-            open_now = host_map.open_targets()
-            for target in reachable - open_now:
-                if host_map.element(target).open(now):
+        driver_map = self._maps.get(changed_uid)
+        if driver_map is None:
+            driver_map = self.map_for(changed_uid)
+        if self._rediff(driver_map, graph.reachable_from(changed_uid), now):
+            for host in graph.reaching(changed_uid):
+                self._rediff(self.map_for(host), graph.reachable_from(host), now)
+
+    def link_opened(
+        self, now: float, graph: LinkGraph, driving_uid: int, target: int
+    ) -> None:
+        """Open windows after a link ``driving_uid -> target`` opened.
+
+        The walk-free counterpart of :meth:`sync` for a link opening,
+        valid while every map is in step with the graph as it was just
+        before.  The driver and every host reaching it now also reach
+        ``target`` and everything ``target`` reaches, which is exactly
+        ``target``'s open set; nobody else gains anything, and nobody
+        loses.  A host that gains two or more targets it never had
+        before goes through a full re-diff instead, so its new map
+        elements are created (and later summed) in the order
+        :meth:`sync` creates them.
+        """
+        driver_map = self._maps.get(driving_uid)
+        if driver_map is None:
+            driver_map = self.map_for(driving_uid)
+        elif target in driver_map._open:
+            return  # already reached, so nobody's reachable set changes
+        gained = {target}
+        target_map = self._maps.get(target)
+        if target_map is not None:
+            gained |= target_map._open
+        for host in (driving_uid, *graph.reaching(driving_uid)):
+            host_map = driver_map if host == driving_uid else self._maps[host]
+            new = gained - host_map._open
+            new.discard(host)
+            if len(new) > 1 and len(new - host_map._elements.keys()) > 1:
+                self._rediff(host_map, graph.reachable_from(host), now)
+                continue
+            for t in new:
+                if host_map.open(t, now):
                     self._version += 1
-            for target in open_now - reachable:
-                if host_map.element(target).close(now):
-                    self._version += 1
+
+    def _rediff(
+        self, host_map: CollateralEnergyMap, reachable: Set[int], now: float
+    ) -> bool:
+        """Open/close ``host_map``'s windows to match ``reachable``.
+
+        Returns whether anything changed.
+        """
+        open_now = host_map._open
+        if reachable == open_now:
+            return False
+        for target in reachable - open_now:
+            if host_map.open(target, now):
+                self._version += 1
+        for target in open_now - reachable:
+            if host_map.close(target, now):
+                self._version += 1
+        return True

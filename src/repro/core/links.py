@@ -64,12 +64,23 @@ class AttackLink:
 
 
 class LinkGraph:
-    """The set of all attack links, live and ended."""
+    """The set of all attack links, live and ended.
+
+    Live links are indexed both by driving uid and by target, so
+    reachability walks only a node's out-edges (or, for
+    :meth:`reaching`, its in-edges) instead of rescanning every live
+    link; the host set grows as links open instead of being rebuilt.
+    """
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
         self._links: List[AttackLink] = []
         self._live: Dict[int, AttackLink] = {}
+        # uid -> {link_id: link}, in opening order (so walks visit links
+        # in the same order as a scan of ``_live`` would).
+        self._live_out: Dict[int, Dict[int, AttackLink]] = {}
+        self._live_in: Dict[int, Dict[int, AttackLink]] = {}
+        self._hosts: Set[int] = set()
 
     def begin(
         self,
@@ -80,23 +91,37 @@ class LinkGraph:
         detail: str = "",
     ) -> AttackLink:
         """Open a new attack link."""
-        link = AttackLink(
-            link_id=next(self._ids),
-            kind=kind,
-            driving_uid=driving_uid,
-            target=target,
-            begin_time=time,
-            detail=detail,
-        )
+        link_id = next(self._ids)
+        link = AttackLink(link_id, kind, driving_uid, target, time, None, detail)
         self._links.append(link)
-        self._live[link.link_id] = link
+        self._live[link_id] = link
+        out = self._live_out.get(driving_uid)
+        if out is None:
+            self._live_out[driving_uid] = {link_id: link}
+        else:
+            out[link_id] = link
+        into = self._live_in.get(target)
+        if into is None:
+            self._live_in[target] = {link_id: link}
+        else:
+            into[link_id] = link
+        self._hosts.add(driving_uid)
         return link
 
     def end(self, link: AttackLink, time: float) -> None:
         """Close a link (idempotent for already-ended links)."""
         if link.alive:
             link.end_time = time
-            self._live.pop(link.link_id, None)
+            link_id = link.link_id
+            if self._live.pop(link_id, None) is not None:
+                out = self._live_out[link.driving_uid]
+                del out[link_id]
+                if not out:
+                    del self._live_out[link.driving_uid]
+                into = self._live_in[link.target]
+                del into[link_id]
+                if not into:
+                    del self._live_in[link.target]
 
     def live_links(self) -> List[AttackLink]:
         """All currently live links."""
@@ -108,15 +133,22 @@ class LinkGraph:
 
     def live_from(self, driving_uid: int) -> List[AttackLink]:
         """Live links driven by one uid."""
-        return [l for l in self._live.values() if l.driving_uid == driving_uid]
+        return list(self._live_out.get(driving_uid, {}).values())
+
+    def has_live(self, driving_uid: int, target: int) -> bool:
+        """Whether a live link from ``driving_uid`` points at ``target``."""
+        for link in self._live_out.get(driving_uid, {}).values():
+            if link.target == target:
+                return True
+        return False
 
     def live_targeting(self, target: int) -> List[AttackLink]:
         """Live links pointing at one target."""
-        return [l for l in self._live.values() if l.target == target]
+        return list(self._live_in.get(target, {}).values())
 
     def hosts(self) -> Set[int]:
         """Every uid that has ever driven a link."""
-        return {link.driving_uid for link in self._links}
+        return set(self._hosts)
 
     def reachable_from(self, host: int) -> Set[int]:
         """Targets transitively reachable from ``host`` over live links.
@@ -125,19 +157,41 @@ class LinkGraph:
         contains every driven app/screen its live attack chain reaches
         (excluding the host itself, so cycles don't self-charge).
         """
+        live_out = self._live_out
         reached: Set[int] = set()
         frontier = [host]
-        seen = {host}
         while frontier:
-            node = frontier.pop()
-            for link in self._live.values():
-                if link.driving_uid != node:
-                    continue
+            out = live_out.get(frontier.pop())
+            if not out:
+                continue
+            for link in out.values():
                 target = link.target
                 if target == host or target in reached:
                     continue
                 reached.add(target)
-                if target not in seen and target != SCREEN_TARGET:
-                    seen.add(target)
+                if target != SCREEN_TARGET:
                     frontier.append(target)
         return reached
+
+    def reaching(self, uid: int) -> List[int]:
+        """Every other uid with a live path to ``uid``.
+
+        Opening or closing a link driven by ``uid`` can change the
+        reachable set only of these hosts and ``uid`` itself: any path
+        through the changed edge first has to reach its driving uid.
+        """
+        live_in = self._live_in
+        found: List[int] = []
+        seen = {uid}
+        frontier = [uid]
+        while frontier:
+            into = live_in.get(frontier.pop())
+            if not into:
+                continue
+            for link in into.values():
+                source = link.driving_uid
+                if source not in seen:
+                    seen.add(source)
+                    found.append(source)
+                    frontier.append(source)
+        return found

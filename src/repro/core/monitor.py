@@ -24,31 +24,43 @@ never charged as *targets* — but their events are still journaled
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, Type, TYPE_CHECKING
 
-from ..android.observers import FrameworkObserver
 from ..android.power_manager import SCREEN_LOCK_TYPES
-from ..telemetry import FRAMEWORK_CATEGORIES, Subscription, TelemetryBus
-from ..telemetry.events import TelemetryEvent
+from ..telemetry import Subscription, TelemetryBus
+from ..telemetry.events import (
+    ActivityFinishedEvent,
+    ActivityMoveToFrontEvent,
+    ActivityStartEvent,
+    BrightnessChangeEvent,
+    BrightnessModeChangeEvent,
+    ForegroundChangedEvent,
+    PackageStoppedEvent,
+    ScreenStateEvent,
+    ServiceBindEvent,
+    ServiceStartEvent,
+    ServiceStopEvent,
+    ServiceStopSelfEvent,
+    ServiceUnbindEvent,
+    TelemetryEvent,
+    WakelockAcquireEvent,
+    WakelockReleaseEvent,
+)
 from .accounting import EAndroidAccounting
-from .events import CollateralEvent, CollateralEventType, EventLog
+from .events import CollateralEventType, EventLog
 from .links import SCREEN_TARGET, AttackKind, AttackLink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..android.activity import ActivityRecord
     from ..android.framework import AndroidSystem
-    from ..android.intent import Intent
-    from ..android.service import ServiceRecord
 
 
-class EAndroidMonitor(FrameworkObserver):
+class EAndroidMonitor:
     """Telemetry-bus subscriber → event journal + attack tracking.
 
-    The monitor subscribes to the device bus's framework categories
-    (:meth:`attach`) and dispatches each typed event to the matching
-    ``on_*`` handler below.  The handlers keep the legacy
-    :class:`~repro.android.observers.FrameworkObserver` signatures, so
-    the monitor can still be driven directly in unit tests.
+    :meth:`attach` subscribes one typed handler per framework event
+    class (the ``_on_*`` methods below, keyed by class in
+    ``_handlers``), so the bus delivers each event straight to its
+    handler; every handler takes the event itself.
     """
 
     def __init__(
@@ -81,6 +93,25 @@ class EAndroidMonitor(FrameworkObserver):
         self._screen_lock_counts: Dict[int, int] = {}
         self._subscriptions: List[Subscription] = []
         self._bus: Optional[TelemetryBus] = None
+        self._journal = self.log.record_fields
+        self._is_system_uid = system.package_manager.is_system_uid
+        self._handlers: Dict[Type[TelemetryEvent], Callable[..., None]] = {
+            ActivityStartEvent: self._on_activity_start,
+            ActivityMoveToFrontEvent: self._on_activity_move_to_front,
+            ActivityFinishedEvent: self._on_activity_finished,
+            PackageStoppedEvent: self._on_package_stopped,
+            ForegroundChangedEvent: self._on_foreground_changed,
+            ServiceStartEvent: self._on_service_start,
+            ServiceStopEvent: self._on_service_stop,
+            ServiceStopSelfEvent: self._on_service_stop_self,
+            ServiceBindEvent: self._on_service_bind,
+            ServiceUnbindEvent: self._on_service_unbind,
+            WakelockAcquireEvent: self._on_wakelock_acquire,
+            WakelockReleaseEvent: self._on_wakelock_release,
+            BrightnessChangeEvent: self._on_brightness_change,
+            BrightnessModeChangeEvent: self._on_brightness_mode_change,
+            ScreenStateEvent: self._on_screen_state,
+        }
         # Attaching mid-run (the real deployment case: E-Android boots
         # with the device, but tests/tools may attach late): prime the
         # wakelock census from PowerManagerService so Fig. 5e tracking
@@ -95,12 +126,12 @@ class EAndroidMonitor(FrameworkObserver):
     # bus subscription
     # ------------------------------------------------------------------
     def attach(self, bus: TelemetryBus) -> None:
-        """Subscribe to the device bus's framework categories."""
+        """Subscribe every typed handler to the device bus."""
         if self._subscriptions:
             raise RuntimeError("monitor is already attached")
         self._subscriptions = [
-            bus.subscribe(self._on_event, category=category, name="eandroid-monitor")
-            for category in FRAMEWORK_CATEGORIES
+            bus.subscribe(handler, event_type=event_class, name="eandroid-monitor")
+            for event_class, handler in self._handlers.items()
         ]
         self._bus = bus
 
@@ -115,17 +146,11 @@ class EAndroidMonitor(FrameworkObserver):
         """Whether the monitor is currently subscribed to a bus."""
         return bool(self._subscriptions)
 
-    def _on_event(self, event: TelemetryEvent) -> None:
-        """Dispatch one typed event to its legacy-signature handler."""
-        hook = event.hook
-        if hook is not None:
-            getattr(self, hook)(*event.hook_args())
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
     def _is_system(self, uid: Optional[int]) -> bool:
-        return uid is None or self._system.package_manager.is_system_uid(uid)
+        return uid is None or self._is_system_uid(uid)
 
     def _cross_app_attackable(self, driving: Optional[int], driven: Optional[int]) -> bool:
         """Both real apps, distinct, neither a system app."""
@@ -133,26 +158,8 @@ class EAndroidMonitor(FrameworkObserver):
             driving is not None
             and driven is not None
             and driving != driven
-            and not self._is_system(driving)
-            and not self._is_system(driven)
-        )
-
-    def _journal(
-        self,
-        time: float,
-        event_type: CollateralEventType,
-        driving: Optional[int] = None,
-        driven: Optional[int] = None,
-        **details,
-    ) -> None:
-        self.log.record(
-            CollateralEvent(
-                time=time,
-                event_type=event_type,
-                driving_uid=driving,
-                driven_uid=driven,
-                details=details,
-            )
+            and not self._is_system_uid(driving)
+            and not self._is_system_uid(driven)
         )
 
     def _begin(
@@ -161,7 +168,7 @@ class EAndroidMonitor(FrameworkObserver):
         """Open a link unless the accounting module is disabled."""
         if not self.accounting_enabled:
             return None
-        return self._accounting.begin_attack(kind, driving, target, detail=detail)
+        return self._accounting.begin_attack(kind, driving, target, detail)
 
     def _end(self, link: Optional[AttackLink]) -> None:
         if link is not None and link.alive:
@@ -170,23 +177,16 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5a / 5b — activities
     # ------------------------------------------------------------------
-    def on_activity_start(
-        self,
-        time: float,
-        caller_uid: int,
-        target_uid: int,
-        record: "ActivityRecord",
-        intent: "Intent",
-        user_initiated: bool,
-    ) -> None:
-        self._journal(
-            time,
+    def _on_activity_start(self, event: ActivityStartEvent) -> None:
+        caller_uid, target_uid, record = event.caller_uid, event.target_uid, event.record
+        user_initiated = event.user_initiated
+        self._journal((
+            event.time,
             CollateralEventType.ACTIVITY_START,
             caller_uid,
             target_uid,
-            component=record.component_name,
-            user_initiated=user_initiated,
-        )
+            {"component": record.component_name, "user_initiated": user_initiated},
+        ))
         # "Attack ends when the app is started again" — whoever starts it.
         self._end(self._activity_links.pop(target_uid, None))
         self._end(self._interrupt_links.pop(target_uid, None))
@@ -198,16 +198,16 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"start {record.package}/{record.component_name}",
             )
 
-    def on_activity_move_to_front(
-        self, time: float, caller_uid: int, target_uid: int, user_initiated: bool
-    ) -> None:
-        self._journal(
-            time,
+    def _on_activity_move_to_front(self, event: ActivityMoveToFrontEvent) -> None:
+        caller_uid, target_uid = event.caller_uid, event.target_uid
+        user_initiated = event.user_initiated
+        self._journal((
+            event.time,
             CollateralEventType.ACTIVITY_MOVE_TO_FRONT,
             caller_uid,
             target_uid,
-            user_initiated=user_initiated,
-        )
+            {"user_initiated": user_initiated},
+        ))
         # "Attack ends when the app is moved to front."
         self._end(self._activity_links.pop(target_uid, None))
         self._end(self._interrupt_links.pop(target_uid, None))
@@ -216,23 +216,25 @@ class EAndroidMonitor(FrameworkObserver):
                 AttackKind.ACTIVITY, caller_uid, target_uid, detail="move_to_front"
             )
 
-    def on_activity_finished(self, time: float, record: "ActivityRecord") -> None:
-        self._journal(
-            time,
+    def _on_activity_finished(self, event: ActivityFinishedEvent) -> None:
+        record = event.record
+        self._journal((
+            event.time,
             CollateralEventType.ACTIVITY_FINISHED,
             None,
             record.uid,
-            component=record.component_name,
-        )
+            {"component": record.component_name},
+        ))
 
-    def on_package_stopped(self, time: float, uid: int, package: str) -> None:
-        self._journal(
-            time,
+    def _on_package_stopped(self, event: PackageStoppedEvent) -> None:
+        uid = event.uid
+        self._journal((
+            event.time,
             CollateralEventType.PACKAGE_STOPPED,
             None,
             uid,
-            package=package,
-        )
+            {"package": event.package},
+        ))
         # Force Stop kills every component, so attacks *against* this app
         # are physically over: its next life is a fresh, user-initiated
         # start, and Fig. 5a/5b windows must not span the death.  Links
@@ -241,22 +243,16 @@ class EAndroidMonitor(FrameworkObserver):
         self._end(self._activity_links.pop(uid, None))
         self._end(self._interrupt_links.pop(uid, None))
 
-    def on_foreground_changed(
-        self,
-        time: float,
-        previous_uid: Optional[int],
-        new_uid: Optional[int],
-        cause: str,
-        initiator_uid: Optional[int],
-    ) -> None:
-        self._journal(
-            time,
+    def _on_foreground_changed(self, event: ForegroundChangedEvent) -> None:
+        previous_uid, new_uid = event.previous_uid, event.new_uid
+        cause, initiator_uid = event.cause, event.initiator_uid
+        self._journal((
+            event.time,
             CollateralEventType.FOREGROUND_CHANGED,
             initiator_uid,
             new_uid,
-            previous_uid=previous_uid,
-            cause=cause,
-        )
+            {"previous_uid": previous_uid, "cause": cause},
+        ))
         # The app back in front is no longer "interrupted" (Fig. 5b) and
         # legitimately owns the screen again (Fig. 5e end-by-return).
         if new_uid is not None:
@@ -264,12 +260,8 @@ class EAndroidMonitor(FrameworkObserver):
             self._end(self._wakelock_links.pop(new_uid, None))
         # Fig. 5b begin: an app (not the user) pushed the previous
         # foreground app to the background.
-        if (
-            initiator_uid is not None
-            and not self._is_system(initiator_uid)
-            and previous_uid is not None
-            and previous_uid != new_uid
-            and self._cross_app_attackable(initiator_uid, previous_uid)
+        if previous_uid != new_uid and self._cross_app_attackable(
+            initiator_uid, previous_uid
         ):
             self._end(self._interrupt_links.pop(previous_uid, None))
             self._interrupt_links[previous_uid] = self._begin(
@@ -297,16 +289,21 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5c — services
     # ------------------------------------------------------------------
-    def on_service_start(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
+    def _journal_service(
+        self, event_type: CollateralEventType, event: TelemetryEvent
     ) -> None:
-        self._journal(
-            time,
-            CollateralEventType.SERVICE_START,
-            caller_uid,
-            target_uid,
-            component=record.component_name,
-        )
+        """Journal one caller -> target service event (start/stop/bind/unbind)."""
+        self._journal((
+            event.time,
+            event_type,
+            event.caller_uid,
+            event.target_uid,
+            {"component": event.record.component_name},
+        ))
+
+    def _on_service_start(self, event: ServiceStartEvent) -> None:
+        self._journal_service(CollateralEventType.SERVICE_START, event)
+        caller_uid, target_uid, record = event.caller_uid, event.target_uid, event.record
         if self._cross_app_attackable(caller_uid, target_uid):
             self._end(self._service_start_links.pop(record.record_id, None))
             self._service_start_links[record.record_id] = self._begin(
@@ -316,38 +313,24 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"startService {record.component_name}",
             )
 
-    def on_service_stop(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
-        self._journal(
-            time,
-            CollateralEventType.SERVICE_STOP,
-            caller_uid,
-            target_uid,
-            component=record.component_name,
-        )
-        self._end(self._service_start_links.pop(record.record_id, None))
+    def _on_service_stop(self, event: ServiceStopEvent) -> None:
+        self._journal_service(CollateralEventType.SERVICE_STOP, event)
+        self._end(self._service_start_links.pop(event.record.record_id, None))
 
-    def on_service_stop_self(self, time: float, record: "ServiceRecord") -> None:
-        self._journal(
-            time,
+    def _on_service_stop_self(self, event: ServiceStopSelfEvent) -> None:
+        record = event.record
+        self._journal((
+            event.time,
             CollateralEventType.SERVICE_STOP_SELF,
             record.uid,
             record.uid,
-            component=record.component_name,
-        )
+            {"component": record.component_name},
+        ))
         self._end(self._service_start_links.pop(record.record_id, None))
 
-    def on_service_bind(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
-        self._journal(
-            time,
-            CollateralEventType.SERVICE_BIND,
-            caller_uid,
-            target_uid,
-            component=record.component_name,
-        )
+    def _on_service_bind(self, event: ServiceBindEvent) -> None:
+        self._journal_service(CollateralEventType.SERVICE_BIND, event)
+        caller_uid, target_uid, record = event.caller_uid, event.target_uid, event.record
         if not self._cross_app_attackable(caller_uid, target_uid):
             return
         key = (record.record_id, caller_uid)
@@ -360,17 +343,9 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"bindService {record.component_name}",
             )
 
-    def on_service_unbind(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
-        self._journal(
-            time,
-            CollateralEventType.SERVICE_UNBIND,
-            caller_uid,
-            target_uid,
-            component=record.component_name,
-        )
-        key = (record.record_id, caller_uid)
+    def _on_service_unbind(self, event: ServiceUnbindEvent) -> None:
+        self._journal_service(CollateralEventType.SERVICE_UNBIND, event)
+        key = (event.record.record_id, event.caller_uid)
         count = self._service_bind_counts.get(key, 0)
         if count <= 1:
             self._service_bind_counts.pop(key, None)
@@ -381,17 +356,15 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5e — wakelocks
     # ------------------------------------------------------------------
-    def on_wakelock_acquire(
-        self, time: float, uid: int, lock_type: str, tag: str
-    ) -> None:
-        self._journal(
-            time,
+    def _on_wakelock_acquire(self, event: WakelockAcquireEvent) -> None:
+        uid, lock_type, tag = event.uid, event.lock_type, event.tag
+        self._journal((
+            event.time,
             CollateralEventType.WAKELOCK_ACQUIRE,
             uid,
             None,
-            lock_type=lock_type,
-            tag=tag,
-        )
+            {"lock_type": lock_type, "tag": tag},
+        ))
         if lock_type not in SCREEN_LOCK_TYPES:
             return
         self._screen_lock_counts[uid] = self._screen_lock_counts.get(uid, 0) + 1
@@ -409,18 +382,15 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"screen wakelock {tag!r} acquired in background",
             )
 
-    def on_wakelock_release(
-        self, time: float, uid: int, lock_type: str, tag: str, by_death: bool
-    ) -> None:
-        self._journal(
-            time,
+    def _on_wakelock_release(self, event: WakelockReleaseEvent) -> None:
+        uid, lock_type = event.uid, event.lock_type
+        self._journal((
+            event.time,
             CollateralEventType.WAKELOCK_RELEASE,
             uid,
             None,
-            lock_type=lock_type,
-            tag=tag,
-            by_death=by_death,
-        )
+            {"lock_type": lock_type, "tag": event.tag, "by_death": event.by_death},
+        ))
         if lock_type not in SCREEN_LOCK_TYPES:
             return
         count = self._screen_lock_counts.get(uid, 0)
@@ -435,23 +405,16 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5d — screen
     # ------------------------------------------------------------------
-    def on_brightness_change(
-        self,
-        time: float,
-        caller_uid: Optional[int],
-        old_level: int,
-        new_level: int,
-        via: str,
-    ) -> None:
-        self._journal(
-            time,
+    def _on_brightness_change(self, event: BrightnessChangeEvent) -> None:
+        caller_uid, via = event.caller_uid, event.via
+        old_level, new_level = event.old_level, event.new_level
+        self._journal((
+            event.time,
             CollateralEventType.BRIGHTNESS_CHANGE,
             caller_uid,
             None,
-            old=old_level,
-            new=new_level,
-            via=via,
-        )
+            {"old": old_level, "new": new_level, "via": via},
+        ))
         if via == "settings" and self._is_system(caller_uid):
             # "Brightness changed by system UI (i.e., operated by users)"
             # terminates every screen attack window.
@@ -472,17 +435,15 @@ class EAndroidMonitor(FrameworkObserver):
             # "Brightness decreasing by the attacking app" ends its window.
             self._end(self._screen_links.pop(caller_uid, None))
 
-    def on_brightness_mode_change(
-        self, time: float, caller_uid: Optional[int], manual: bool, via: str
-    ) -> None:
-        self._journal(
-            time,
+    def _on_brightness_mode_change(self, event: BrightnessModeChangeEvent) -> None:
+        caller_uid, manual = event.caller_uid, event.manual
+        self._journal((
+            event.time,
             CollateralEventType.BRIGHTNESS_MODE_CHANGE,
             caller_uid,
             None,
-            manual=manual,
-            via=via,
-        )
+            {"manual": manual, "via": event.via},
+        ))
         if not manual:
             # "Switching into the auto mode" ends every screen window.
             self._end_all_screen_links()
@@ -498,8 +459,10 @@ class EAndroidMonitor(FrameworkObserver):
                     detail="switched brightness mode to manual",
                 )
 
-    def on_screen_state(self, time: float, is_on: bool) -> None:
-        self._journal(time, CollateralEventType.SCREEN_STATE, None, None, on=is_on)
+    def _on_screen_state(self, event: ScreenStateEvent) -> None:
+        self._journal((
+            event.time, CollateralEventType.SCREEN_STATE, None, None, {"on": event.is_on}
+        ))
 
     def _end_all_screen_links(self) -> None:
         for uid in list(self._screen_links):

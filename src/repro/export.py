@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
@@ -37,11 +36,8 @@ PathLike = Union[str, Path]
 # ----------------------------------------------------------------------
 # profiler reports
 # ----------------------------------------------------------------------
-_warned_report_to_dict = False
-
-
 def _backend_for(report: ProfilerReport) -> str:
-    """Best-effort backend name for a bare report (shim use only)."""
+    """The Report API backend name for a bare report, from its profiler."""
     profiler = report.profiler
     if profiler.startswith("BatteryStats"):
         return "batterystats"
@@ -54,32 +50,10 @@ def _backend_for(report: ProfilerReport) -> str:
     return "energy"
 
 
-def report_to_dict(report: ProfilerReport) -> Dict[str, Any]:
-    """Deprecated: a profiler report as plain JSON-ready data.
-
-    Thin shim over :meth:`repro.reports.ProfilerReportView.to_dict` —
-    the unified Report API's wire form.  Emits one
-    :class:`DeprecationWarning` per process; new code should go through
-    ``profiler.report_view(...)`` / ``analyzer.describe(...)`` instead.
-    Output is byte-identical to ``ReportView.to_dict()`` (regression
-    tested).
-    """
-    global _warned_report_to_dict
-    if not _warned_report_to_dict:
-        _warned_report_to_dict = True
-        warnings.warn(
-            "report_to_dict() is deprecated; use "
-            "repro.reports.ProfilerReportView.to_dict() (the unified "
-            "Report API) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return ProfilerReportView(backend=_backend_for(report), report=report).to_dict()
-
-
 def report_to_json(report: ProfilerReport, indent: int = 2) -> str:
-    """A profiler report serialised to JSON text."""
-    return json.dumps(report_to_dict(report), indent=indent)
+    """A profiler report serialised to JSON text (its ``repro.report/1`` form)."""
+    view = ProfilerReportView(backend=_backend_for(report), report=report)
+    return json.dumps(view.to_dict(), indent=indent)
 
 
 def report_to_csv(report: ProfilerReport) -> str:

@@ -86,8 +86,8 @@ class ProfilerReportView:
     def to_dict(self) -> Dict[str, Any]:
         """The schema-versioned wire form.
 
-        Everything the legacy ``repro.export.report_to_dict`` emitted,
-        plus the ``schema``/``backend``/``total_j`` envelope fields.
+        The report's profiler, window and entries, plus the
+        ``schema``/``backend``/``total_j`` envelope fields.
         """
         return {
             "schema": REPORT_SCHEMA,

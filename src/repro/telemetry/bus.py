@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Type
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from .events import Category, TelemetryEvent
 
@@ -34,7 +34,7 @@ Subscriber = Callable[[TelemetryEvent], None]
 
 
 class TelemetrySubscriberWarning(UserWarning):
-    """A telemetry subscriber (or legacy observer) raised during fan-out."""
+    """A telemetry subscriber raised during fan-out."""
 
 
 @dataclass
@@ -80,12 +80,6 @@ class Subscription:
     name: str
     active: bool = True
 
-    def matches(self, event: TelemetryEvent) -> bool:
-        """Whether this subscription wants ``event``."""
-        if self.event_type is not None and not isinstance(event, self.event_type):
-            return False
-        return True
-
     @property
     def label(self) -> str:
         """Human-readable subscriber name for error surfacing."""
@@ -105,6 +99,10 @@ class TelemetryBus:
         self._by_category: Dict[Category, List[Subscription]] = {}
         self._wildcard: List[Subscription] = []
         self._stats: Dict[Category, CategoryStats] = {}
+        # event class -> (its category's stats, the subscriptions that
+        # receive it, in delivery order); rebuilt lazily after any
+        # subscribe/unsubscribe, so publishing is one lookup by class.
+        self._routes: Dict[type, Tuple[CategoryStats, Tuple[Subscription, ...]]] = {}
         self.errors: List[SubscriberError] = []
         self._warned: set = set()
         for hook in list(_bus_hooks):
@@ -133,6 +131,7 @@ class TelemetryBus:
             self._wildcard.append(subscription)
         else:
             self._by_category.setdefault(category, []).append(subscription)
+        self._routes.clear()
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> bool:
@@ -146,6 +145,7 @@ class TelemetryBus:
             if subscription in pool:
                 pool.remove(subscription)
                 subscription.active = False
+                self._routes.clear()
                 return True
         return False
 
@@ -168,44 +168,62 @@ class TelemetryBus:
     # publication
     # ------------------------------------------------------------------
     def publish(self, event: TelemetryEvent) -> None:
-        """Deliver ``event`` to every matching subscriber, error-isolated."""
-        category = event.category
-        stats = self._stats.get(category)
-        if stats is None:
-            stats = self._stats[category] = CategoryStats()
+        """Deliver ``event`` to every matching subscriber, error-isolated.
+
+        Category subscribers come first, then wildcard ones, each group
+        in subscription order.
+        """
+        route = self._routes.get(type(event))
+        if route is None:
+            route = self._route(type(event))
+        stats, subscribers = route
         stats.note(event.time)
-        subscribers = self._by_category.get(category)
-        if subscribers:
-            self._deliver(subscribers, event)
-        if self._wildcard:
-            self._deliver(self._wildcard, event)
-
-    def tick(self, category: Category, time: float) -> None:
-        """Counter-only fast path for gated hot-path producers."""
-        stats = self._stats.get(category)
-        if stats is None:
-            stats = self._stats[category] = CategoryStats()
-        stats.note(time)
-
-    def _deliver(
-        self, subscribers: List[Subscription], event: TelemetryEvent
-    ) -> None:
-        for subscription in list(subscribers):
-            if not subscription.matches(event):
-                continue
+        for subscription in subscribers:
             try:
                 subscription.callback(event)
             except Exception as exc:  # noqa: BLE001 - isolation by design
                 self.report_subscriber_error(subscription.label, event.name, exc)
 
+    def tick(self, category: Category, time: float) -> None:
+        """Counter-only fast path for gated hot-path producers."""
+        stats = self._stats.get(category)
+        if stats is None:
+            stats = self._category_stats(category)
+        # CategoryStats.note, inlined: this runs once per unobserved
+        # kernel dispatch, draw change and attack-window edge.
+        stats.count += 1
+        if stats.first_time is None:
+            stats.first_time = time
+        stats.last_time = time
+
+    def _category_stats(self, category: Category) -> CategoryStats:
+        stats = self._stats.get(category)
+        if stats is None:
+            stats = self._stats[category] = CategoryStats()
+        return stats
+
+    def _route(
+        self, event_class: Type[TelemetryEvent]
+    ) -> Tuple[CategoryStats, Tuple[Subscription, ...]]:
+        """Build (and cache) the delivery route for one event class."""
+        category = event_class.category
+        candidates = (*self._by_category.get(category, ()), *self._wildcard)
+        route = (
+            self._category_stats(category),
+            tuple(
+                subscription
+                for subscription in candidates
+                if subscription.event_type is None
+                or issubclass(event_class, subscription.event_type)
+            ),
+        )
+        self._routes[event_class] = route
+        return route
+
     def report_subscriber_error(
         self, subscriber: str, event_name: str, exc: Exception
     ) -> None:
-        """Record a fan-out failure; warn once per subscriber.
-
-        Also used by the legacy ``ObserverRegistry`` shim so shim and
-        bus failures surface through one channel.
-        """
+        """Record a fan-out failure; warn once per subscriber."""
         self.errors.append(
             SubscriberError(subscriber=subscriber, event_name=event_name, error=repr(exc))
         )

@@ -12,18 +12,13 @@ frozen dataclass events sharing a common envelope —
 * ``driving_uid`` / ``driven_uid`` — who caused / who was affected
   (``None`` when not applicable, e.g. user input or hardware events);
 * ``payload()`` — the event-specific details as JSON-ready data.
-
-Framework events additionally carry ``hook`` / ``hook_args()``, the
-bridge used by the deprecated :class:`~repro.android.observers.
-ObserverRegistry` shim to keep legacy ``FrameworkObserver`` subclasses
-working during the migration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, ClassVar, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, ClassVar, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..android.activity import ActivityRecord
@@ -47,15 +42,10 @@ class Category(Enum):
     FAULT = "fault"          # chaos plane: injections + retry attempts
     AGGREGATE = "aggregate"  # fleet aggregation: scatter + gather
 
-
-# Categories the Android framework services publish on — what the
-# legacy ObserverRegistry shim bridges to FrameworkObserver hooks.
-FRAMEWORK_CATEGORIES: Tuple[Category, ...] = (
-    Category.ACTIVITY,
-    Category.SERVICE,
-    Category.WAKELOCK,
-    Category.SCREEN,
-)
+    # Members are singletons compared by identity, so identity hashing
+    # is valid; it keeps the bus's per-category lookups (hit on every
+    # publish, tick and ``wants``) free of Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -66,8 +56,6 @@ class TelemetryEvent:
 
     category: ClassVar[Category]
     name: ClassVar[str] = "event"
-    #: Legacy ``FrameworkObserver`` method this event maps to (shim only).
-    hook: ClassVar[Optional[str]] = None
 
     @property
     def driving_uid(self) -> Optional[int]:
@@ -86,10 +74,6 @@ class TelemetryEvent:
             for f in fields(self)
             if f.name != "time"
         }
-
-    def hook_args(self) -> tuple:
-        """Positional args for the legacy observer hook (shim only)."""
-        raise NotImplementedError(f"{type(self).__name__} has no legacy hook")
 
     def to_dict(self) -> Dict[str, Any]:
         """The full envelope + payload as one JSON-ready mapping."""
@@ -118,7 +102,6 @@ class ActivityStartEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.ACTIVITY
     name: ClassVar[str] = "activity_start"
-    hook: ClassVar[Optional[str]] = "on_activity_start"
 
     @property
     def driving_uid(self) -> Optional[int]:
@@ -135,16 +118,6 @@ class ActivityStartEvent(TelemetryEvent):
             "user_initiated": self.user_initiated,
         }
 
-    def hook_args(self) -> tuple:
-        return (
-            self.time,
-            self.caller_uid,
-            self.target_uid,
-            self.record,
-            self.intent,
-            self.user_initiated,
-        )
-
 
 @dataclass(frozen=True)
 class ActivityMoveToFrontEvent(TelemetryEvent):
@@ -156,7 +129,6 @@ class ActivityMoveToFrontEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.ACTIVITY
     name: ClassVar[str] = "activity_move_to_front"
-    hook: ClassVar[Optional[str]] = "on_activity_move_to_front"
 
     @property
     def driving_uid(self) -> Optional[int]:
@@ -169,9 +141,6 @@ class ActivityMoveToFrontEvent(TelemetryEvent):
     def payload(self) -> Dict[str, Any]:
         return {"user_initiated": self.user_initiated}
 
-    def hook_args(self) -> tuple:
-        return (self.time, self.caller_uid, self.target_uid, self.user_initiated)
-
 
 @dataclass(frozen=True)
 class ActivityFinishedEvent(TelemetryEvent):
@@ -181,7 +150,6 @@ class ActivityFinishedEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.ACTIVITY
     name: ClassVar[str] = "activity_finished"
-    hook: ClassVar[Optional[str]] = "on_activity_finished"
 
     @property
     def driven_uid(self) -> Optional[int]:
@@ -192,9 +160,6 @@ class ActivityFinishedEvent(TelemetryEvent):
             "component": self.record.component_name,
             "package": self.record.package,
         }
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.record)
 
 
 @dataclass(frozen=True)
@@ -212,14 +177,10 @@ class PackageStoppedEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.ACTIVITY
     name: ClassVar[str] = "package_stopped"
-    hook: ClassVar[Optional[str]] = "on_package_stopped"
 
     @property
     def driven_uid(self) -> Optional[int]:
         return self.uid
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.uid, self.package)
 
 
 @dataclass(frozen=True)
@@ -238,7 +199,6 @@ class ForegroundChangedEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.ACTIVITY
     name: ClassVar[str] = "foreground_changed"
-    hook: ClassVar[Optional[str]] = "on_foreground_changed"
 
     @property
     def driving_uid(self) -> Optional[int]:
@@ -247,15 +207,6 @@ class ForegroundChangedEvent(TelemetryEvent):
     @property
     def driven_uid(self) -> Optional[int]:
         return self.new_uid
-
-    def hook_args(self) -> tuple:
-        return (
-            self.time,
-            self.previous_uid,
-            self.new_uid,
-            self.cause,
-            self.initiator_uid,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -285,16 +236,12 @@ class _ServiceEvent(TelemetryEvent):
             "package": self.record.package,
         }
 
-    def hook_args(self) -> tuple:
-        return (self.time, self.caller_uid, self.target_uid, self.record)
-
 
 @dataclass(frozen=True)
 class ServiceStartEvent(_ServiceEvent):
     """startService() reached a service."""
 
     name: ClassVar[str] = "service_start"
-    hook: ClassVar[Optional[str]] = "on_service_start"
 
 
 @dataclass(frozen=True)
@@ -302,7 +249,6 @@ class ServiceStopEvent(_ServiceEvent):
     """stopService() was called."""
 
     name: ClassVar[str] = "service_stop"
-    hook: ClassVar[Optional[str]] = "on_service_stop"
 
 
 @dataclass(frozen=True)
@@ -310,7 +256,6 @@ class ServiceBindEvent(_ServiceEvent):
     """bindService() created a connection."""
 
     name: ClassVar[str] = "service_bind"
-    hook: ClassVar[Optional[str]] = "on_service_bind"
 
 
 @dataclass(frozen=True)
@@ -318,7 +263,6 @@ class ServiceUnbindEvent(_ServiceEvent):
     """A connection was unbound (explicitly or by client death)."""
 
     name: ClassVar[str] = "service_unbind"
-    hook: ClassVar[Optional[str]] = "on_service_unbind"
 
 
 @dataclass(frozen=True)
@@ -329,7 +273,6 @@ class ServiceStopSelfEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.SERVICE
     name: ClassVar[str] = "service_stop_self"
-    hook: ClassVar[Optional[str]] = "on_service_stop_self"
 
     @property
     def driving_uid(self) -> Optional[int]:
@@ -345,9 +288,6 @@ class ServiceStopSelfEvent(TelemetryEvent):
             "package": self.record.package,
         }
 
-    def hook_args(self) -> tuple:
-        return (self.time, self.record)
-
 
 # ----------------------------------------------------------------------
 # wakelocks
@@ -362,14 +302,10 @@ class WakelockAcquireEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.WAKELOCK
     name: ClassVar[str] = "wakelock_acquire"
-    hook: ClassVar[Optional[str]] = "on_wakelock_acquire"
 
     @property
     def driving_uid(self) -> Optional[int]:
         return self.uid
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.uid, self.lock_type, self.tag)
 
 
 @dataclass(frozen=True)
@@ -383,14 +319,10 @@ class WakelockReleaseEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.WAKELOCK
     name: ClassVar[str] = "wakelock_release"
-    hook: ClassVar[Optional[str]] = "on_wakelock_release"
 
     @property
     def driving_uid(self) -> Optional[int]:
         return self.uid
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.uid, self.lock_type, self.tag, self.by_death)
 
 
 # ----------------------------------------------------------------------
@@ -407,14 +339,10 @@ class BrightnessChangeEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.SCREEN
     name: ClassVar[str] = "brightness_change"
-    hook: ClassVar[Optional[str]] = "on_brightness_change"
 
     @property
     def driving_uid(self) -> Optional[int]:
         return self.caller_uid
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.caller_uid, self.old_level, self.new_level, self.via)
 
 
 @dataclass(frozen=True)
@@ -427,14 +355,10 @@ class BrightnessModeChangeEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.SCREEN
     name: ClassVar[str] = "brightness_mode_change"
-    hook: ClassVar[Optional[str]] = "on_brightness_mode_change"
 
     @property
     def driving_uid(self) -> Optional[int]:
         return self.caller_uid
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.caller_uid, self.manual, self.via)
 
 
 @dataclass(frozen=True)
@@ -445,10 +369,6 @@ class ScreenStateEvent(TelemetryEvent):
 
     category: ClassVar[Category] = Category.SCREEN
     name: ClassVar[str] = "screen_state"
-    hook: ClassVar[Optional[str]] = "on_screen_state"
-
-    def hook_args(self) -> tuple:
-        return (self.time, self.is_on)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ biggest and smallest values as outliers." (§VI-B)
 
 Three configurations are measured:
 
-* ``android`` — stock framework, no observers;
+* ``android`` — stock framework, nothing subscribed to its bus;
 * ``eandroid_framework`` — E-Android's monitor attached but the energy
   accounting module disabled (isolates pure hook cost);
 * ``eandroid_complete`` — the full system.
@@ -112,13 +112,15 @@ def build_configured_system(configuration: str) -> AndroidSystem:
     system.install(_bench_app("com.bench.other"))
     system.boot()
     if configuration != "android":
-        accounting = EAndroidAccounting(system.kernel, system.hardware.meter)
+        accounting = EAndroidAccounting(
+            system.kernel, system.hardware.meter, telemetry=system.telemetry
+        )
         monitor = EAndroidMonitor(
             system,
             accounting,
             accounting_enabled=(configuration == "eandroid_complete"),
         )
-        system.register_observer(monitor)
+        monitor.attach(system.telemetry)
     return system
 
 

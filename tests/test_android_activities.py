@@ -187,15 +187,13 @@ class TestForegroundTimeline:
         assert intervals == [(10.0, 20.0)]
 
     def test_foreground_observer_cause(self, system):
-        from repro.android import FrameworkObserver
+        from repro.telemetry import ForegroundChangedEvent
 
         causes = []
-
-        class Recorder(FrameworkObserver):
-            def on_foreground_changed(self, time, prev, new, cause, initiator):
-                causes.append((cause, initiator))
-
-        system.register_observer(Recorder())
+        system.telemetry.subscribe(
+            lambda event: causes.append((event.cause, event.initiator_uid)),
+            event_type=ForegroundChangedEvent,
+        )
         system.launch_app("com.alpha")
         uid_alpha = system.uid_of("com.alpha")
         system.am.start_activity(uid_alpha, explicit("com.beta", "PlainActivity"))

@@ -137,15 +137,13 @@ class TestLinkToDeath:
         assert system.display.is_screen_on  # battery still burning
 
     def test_death_release_notifies_observers(self, system):
-        from repro.android import FrameworkObserver
+        from repro.telemetry import WakelockReleaseEvent
 
         releases = []
-
-        class Recorder(FrameworkObserver):
-            def on_wakelock_release(self, time, uid, lock_type, tag, by_death):
-                releases.append((tag, by_death))
-
-        system.register_observer(Recorder())
+        system.telemetry.subscribe(
+            lambda event: releases.append((event.tag, event.by_death)),
+            event_type=WakelockReleaseEvent,
+        )
         system.launch_app("com.app")
         uid = system.uid_of("com.app")
         system.power_manager.acquire(uid, PARTIAL_WAKE_LOCK, "will-die")
@@ -197,15 +195,15 @@ class TestBrightnessPolicy:
         assert system.display.brightness == 42
 
     def test_brightness_observer_sees_caller(self, system):
-        from repro.android import FrameworkObserver
+        from repro.telemetry import BrightnessChangeEvent
 
         changes = []
-
-        class Recorder(FrameworkObserver):
-            def on_brightness_change(self, time, caller_uid, old, new, via):
-                changes.append((caller_uid, old, new, via))
-
-        system.register_observer(Recorder())
+        system.telemetry.subscribe(
+            lambda event: changes.append(
+                (event.caller_uid, event.old_level, event.new_level, event.via)
+            ),
+            event_type=BrightnessChangeEvent,
+        )
         uid = system.uid_of("com.app")
         system.settings.put(uid, SCREEN_BRIGHTNESS, 240)
         assert changes == [(uid, 102, 240, "settings")]

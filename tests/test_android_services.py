@@ -156,3 +156,22 @@ class TestForceStop:
         connection = system.am.bind_service(malware_uid, svc_intent())
         system.am.force_stop("com.victim")
         assert not connection.bound
+
+    def test_force_stop_unbinds_in_binding_order(self, system):
+        """One unbind event per incoming connection, oldest binding first."""
+        from repro.telemetry import ServiceUnbindEvent
+
+        clients = [system.uid_of(p) for p in ("com.alpha", "com.victim")] * 8
+        connections = [system.am.bind_service(uid, svc_intent()) for uid in clients]
+        unbinds = []
+        system.telemetry.subscribe(
+            lambda event: unbinds.append(event.caller_uid),
+            event_type=ServiceUnbindEvent,
+        )
+        record = connections[0].record
+        expected = [c.client_uid for c in record.connections]
+        assert [c.connection_id for c in record.connections] == sorted(
+            c.connection_id for c in connections
+        )
+        system.am.force_stop("com.victim")
+        assert unbinds[: len(expected)] == expected

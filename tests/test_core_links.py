@@ -157,16 +157,16 @@ class TestCollateralMapSet:
         graph = LinkGraph()
         maps = CollateralMapSet()
         graph.begin(AttackKind.ACTIVITY, 1, 2, time=3.0)
-        maps.sync(3.0, graph)
+        maps.sync(3.0, graph, 1)
         assert maps.map_for(1).open_targets() == {2}
 
     def test_sync_closes_unreachable(self):
         graph = LinkGraph()
         maps = CollateralMapSet()
         link = graph.begin(AttackKind.ACTIVITY, 1, 2, time=3.0)
-        maps.sync(3.0, graph)
+        maps.sync(3.0, graph, 1)
         graph.end(link, time=9.0)
-        maps.sync(9.0, graph)
+        maps.sync(9.0, graph, 1)
         element = maps.map_for(1).element(2)
         assert not element.is_open
         assert element.closed == [(3.0, 9.0)]
@@ -176,9 +176,9 @@ class TestCollateralMapSet:
         graph = LinkGraph()
         maps = CollateralMapSet()
         graph.begin(AttackKind.SERVICE_BIND, 2, 3, time=0.0)
-        maps.sync(0.0, graph)
+        maps.sync(0.0, graph, 2)
         graph.begin(AttackKind.SERVICE_BIND, 1, 2, time=5.0)
-        maps.sync(5.0, graph)
+        maps.sync(5.0, graph, 1)
         assert maps.map_for(1).open_targets() == {2, 3}
         # C charged to A only from t=5, when the chain formed.
         assert maps.map_for(1).element(3).intervals(until=10.0) == [(5.0, 10.0)]
@@ -187,8 +187,9 @@ class TestCollateralMapSet:
         graph = LinkGraph()
         maps = CollateralMapSet()
         graph.begin(AttackKind.ACTIVITY, 1, 2, time=0.0)
+        maps.sync(0.0, graph, 1)
         graph.begin(AttackKind.ACTIVITY, 9, 2, time=0.0)
-        maps.sync(0.0, graph)
+        maps.sync(0.0, graph, 9)
         assert len(maps.maps_containing(2)) == 2
         assert maps.maps_containing(42) == []
 

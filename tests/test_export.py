@@ -13,7 +13,6 @@ from repro.export import (
     attack_log_to_json,
     battery_curve_to_csv,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     save_report,
     save_text,
@@ -36,7 +35,7 @@ def rig():
 class TestReportExport:
     def test_dict_shape(self, rig):
         system, ea = rig
-        data = report_to_dict(ea.report())
+        data = json.loads(report_to_json(ea.report()))
         assert data["profiler"].startswith("E-Android")
         assert data["window"]["end_s"] == system.now
         labels = {entry["label"] for entry in data["entries"]}

@@ -1,12 +1,11 @@
-"""The unified Report API: requests, views, and the deprecation shim."""
+"""The unified Report API: requests, views, and the JSON report export."""
 
 import json
-import warnings
 
 import pytest
 
 from repro.accounting import BatteryStats, PowerTutor
-from repro.export import report_to_dict
+from repro.export import report_to_json
 from repro.offline import OfflineAnalyzer, capture_trace
 from repro.reports import (
     BACKENDS,
@@ -102,7 +101,7 @@ class TestReportViews:
             assert view.to_dict()["schema"] == REPORT_SCHEMA
 
 
-class TestDeprecationShim:
+class TestReportToJson:
     def test_byte_identity_with_view(self, attack_run):
         system, ea = attack_run.system, attack_run.eandroid
         for profiler, backend in (
@@ -111,21 +110,5 @@ class TestDeprecationShim:
             (ea.interface, "eandroid"),
         ):
             report = profiler.report()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = report_to_dict(report)
             fresh = ProfilerReportView(backend=backend, report=report).to_dict()
-            assert json.dumps(legacy, sort_keys=True) == json.dumps(
-                fresh, sort_keys=True
-            )
-
-    def test_single_deprecation_warning(self, attack_run, monkeypatch):
-        import repro.export as export_module
-
-        monkeypatch.setattr(export_module, "_warned_report_to_dict", False)
-        report = BatteryStats(attack_run.system).report()
-        with pytest.warns(DeprecationWarning):
-            report_to_dict(report)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report_to_dict(report)  # second call must stay silent
+            assert report_to_json(report) == json.dumps(fresh, indent=2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.telemetry import Category
 from repro.workloads import (
     AnTuTuBenchmark,
     BoxplotStats,
@@ -144,11 +145,19 @@ class TestMicroBenchmark:
     def test_all_configurations_build(self):
         for configuration in CONFIGURATIONS:
             system = build_configured_system(configuration)
-            observer_count = len(system.observers)
+            monitored = [
+                system.telemetry.wants(category)
+                for category in (
+                    Category.ACTIVITY,
+                    Category.SERVICE,
+                    Category.WAKELOCK,
+                    Category.SCREEN,
+                )
+            ]
             if configuration == "android":
-                assert observer_count == 0
+                assert not any(monitored)
             else:
-                assert observer_count == 1
+                assert all(monitored)
 
     def test_unknown_configuration_rejected(self):
         with pytest.raises(ValueError):
