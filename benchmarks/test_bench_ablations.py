@@ -3,7 +3,7 @@
 Not figures from the paper — these quantify the cost of the mechanisms
 the reproduction chose:
 
-* reachability-based map sync (Algorithm 1) as the link graph grows;
+* reachability-based map sync (Algorithm 1) along a deep attack chain;
 * windowed energy queries against piecewise-constant traces as traces
   grow;
 * the per-event cost of the monitor's journal (framework-only mode);
@@ -19,17 +19,25 @@ from repro.workloads.microbench import build_configured_system
 
 
 def test_bench_map_sync_chain_depth(benchmark):
-    """Algorithm 1 sync cost with a 40-deep live attack chain."""
+    """Algorithm 1 sync cost with a 40-deep live attack chain.
+
+    Ending and reopening the chain's tail link changes what every host
+    upstream of it reaches, so each round re-diffs all 40 maps.
+    """
     kernel = Kernel()
     meter = EnergyMeter(kernel)
     accounting = EAndroidAccounting(kernel, meter)
-    for i in range(40):
+    links = [
         accounting.begin_attack(AttackKind.SERVICE_BIND, 10000 + i, 10001 + i)
+        for i in range(40)
+    ]
 
-    def sync_once():
-        accounting.maps.sync(kernel.now, accounting.graph)
+    def end_and_reopen_tail():
+        tail = links[-1]
+        accounting.end_attack(tail)
+        links[-1] = accounting.begin_attack(tail.kind, tail.driving_uid, tail.target)
 
-    benchmark(sync_once)
+    benchmark(end_and_reopen_tail)
     # The deepest host reaches every downstream app.
     assert len(accounting.maps.map_for(10000).open_targets()) == 40
 

@@ -77,7 +77,7 @@ class EAndroidAccounting:
         """Open an attack link and update every affected map."""
         now = self._kernel.now
         link = self.graph.begin(kind, driving_uid, target, now, detail)
-        self.maps.link_opened(now, self.graph, driving_uid, target)
+        self.maps.sync(now, self.graph, driving_uid)
         telemetry = self._telemetry
         if telemetry is not None:
             if telemetry.wants(Category.ATTACK):

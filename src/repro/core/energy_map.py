@@ -8,10 +8,9 @@ time windows during which the charge accrues.
 The map layer is deliberately dumb about *why* windows open and close —
 that is the link graph's job.  :meth:`CollateralMapSet.sync` diffs the
 reachability of the hosts a link change can affect against their
-currently-open elements and opens/closes windows accordingly (and
-:meth:`CollateralMapSet.link_opened` does the same for a link opening
-without walking the graph), which realises Algorithm 1's
-``AddElement`` / attack-state updates including chain propagation.
+currently-open elements and opens/closes windows accordingly, which
+realises Algorithm 1's ``AddElement`` / attack-state updates including
+chain propagation.
 """
 
 from __future__ import annotations
@@ -193,41 +192,6 @@ class CollateralMapSet:
         if self._rediff(driver_map, graph.reachable_from(changed_uid), now):
             for host in graph.reaching(changed_uid):
                 self._rediff(self.map_for(host), graph.reachable_from(host), now)
-
-    def link_opened(
-        self, now: float, graph: LinkGraph, driving_uid: int, target: int
-    ) -> None:
-        """Open windows after a link ``driving_uid -> target`` opened.
-
-        The walk-free counterpart of :meth:`sync` for a link opening,
-        valid while every map is in step with the graph as it was just
-        before.  The driver and every host reaching it now also reach
-        ``target`` and everything ``target`` reaches, which is exactly
-        ``target``'s open set; nobody else gains anything, and nobody
-        loses.  A host that gains two or more targets it never had
-        before goes through a full re-diff instead, so its new map
-        elements are created (and later summed) in the order
-        :meth:`sync` creates them.
-        """
-        driver_map = self._maps.get(driving_uid)
-        if driver_map is None:
-            driver_map = self.map_for(driving_uid)
-        elif target in driver_map._open:
-            return  # already reached, so nobody's reachable set changes
-        gained = {target}
-        target_map = self._maps.get(target)
-        if target_map is not None:
-            gained |= target_map._open
-        for host in (driving_uid, *graph.reaching(driving_uid)):
-            host_map = driver_map if host == driving_uid else self._maps[host]
-            new = gained - host_map._open
-            new.discard(host)
-            if len(new) > 1 and len(new - host_map._elements.keys()) > 1:
-                self._rediff(host_map, graph.reachable_from(host), now)
-                continue
-            for t in new:
-                if host_map.open(t, now):
-                    self._version += 1
 
     def _rediff(
         self, host_map: CollateralEnergyMap, reachable: Set[int], now: float

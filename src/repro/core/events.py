@@ -55,51 +55,35 @@ class CollateralEvent:
         )
 
 
-_FIELDS = 5  # time, event_type, driving_uid, driven_uid, details
-
-
 class EventLog:
     """Append-only journal of collateral events.
 
-    The journal is one flat list, five consecutive slots per event, so
-    journaling an event is a single ``list.extend`` and keeps no
-    per-event container alive: the garbage collector has nothing new
-    to trace (a details dict holding only plain values is never
-    tracked).  Events come back as :class:`CollateralEvent` instances
-    on read.  :meth:`of_type` keeps a per-type index that it brings up
-    to date on demand, so a lookup costs O(matches + events journaled
-    since the last lookup) rather than a scan of the whole journal.
+    Each entry is the ``(time, event_type, driving_uid, driven_uid,
+    details)`` tuple of one event, so journaling builds no dataclass;
+    events come back as :class:`CollateralEvent` instances on read.
     """
 
     def __init__(self) -> None:
-        self._slots: List[Any] = []
-        self._by_type: Dict[CollateralEventType, List[int]] = {}
-        self._indexed = 0
-        #: Append one event given as its ``(time, event_type,
-        #: driving_uid, driven_uid, details)`` fields (the monitor's
+        self._events: List[Tuple[Any, ...]] = []
+        #: Append one event given as its field tuple (the monitor's
         #: per-event path; ``details`` must be a dict).
-        self.record_fields: Callable[[Tuple[Any, ...]], None] = self._slots.extend
+        self.record_fields: Callable[[Tuple[Any, ...]], None] = self._events.append
 
     def record(self, event: CollateralEvent) -> None:
         """Append one event."""
-        self._slots.extend(
+        self._events.append(
             (event.time, event.event_type, event.driving_uid, event.driven_uid, event.details)
         )
 
-    def _event(self, offset: int) -> CollateralEvent:
-        return CollateralEvent(*self._slots[offset:offset + _FIELDS])
-
     def all(self) -> List[CollateralEvent]:
         """Every event, in journal order."""
-        return [self._event(offset) for offset in range(0, len(self._slots), _FIELDS)]
+        return [CollateralEvent(*fields) for fields in self._events]
 
     def of_type(self, event_type: CollateralEventType) -> List[CollateralEvent]:
         """Events of one type, in journal order."""
-        slots, by_type = self._slots, self._by_type
-        for offset in range(self._indexed, len(slots), _FIELDS):
-            by_type.setdefault(slots[offset + 1], []).append(offset)
-        self._indexed = len(slots)
-        return [self._event(offset) for offset in by_type.get(event_type, ())]
+        return [
+            CollateralEvent(*fields) for fields in self._events if fields[1] is event_type
+        ]
 
     def __len__(self) -> int:
-        return len(self._slots) // _FIELDS
+        return len(self._events)

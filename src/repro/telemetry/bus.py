@@ -188,19 +188,8 @@ class TelemetryBus:
         """Counter-only fast path for gated hot-path producers."""
         stats = self._stats.get(category)
         if stats is None:
-            stats = self._category_stats(category)
-        # CategoryStats.note, inlined: this runs once per unobserved
-        # kernel dispatch, draw change and attack-window edge.
-        stats.count += 1
-        if stats.first_time is None:
-            stats.first_time = time
-        stats.last_time = time
-
-    def _category_stats(self, category: Category) -> CategoryStats:
-        stats = self._stats.get(category)
-        if stats is None:
             stats = self._stats[category] = CategoryStats()
-        return stats
+        stats.note(time)
 
     def _route(
         self, event_class: Type[TelemetryEvent]
@@ -209,7 +198,7 @@ class TelemetryBus:
         category = event_class.category
         candidates = (*self._by_category.get(category, ()), *self._wildcard)
         route = (
-            self._category_stats(category),
+            self._stats.setdefault(category, CategoryStats()),
             tuple(
                 subscription
                 for subscription in candidates

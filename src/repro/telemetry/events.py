@@ -42,11 +42,6 @@ class Category(Enum):
     FAULT = "fault"          # chaos plane: injections + retry attempts
     AGGREGATE = "aggregate"  # fleet aggregation: scatter + gather
 
-    # Members are singletons compared by identity, so identity hashing
-    # is valid; it keeps the bus's per-category lookups (hit on every
-    # publish, tick and ``wants``) free of Enum's Python-level __hash__.
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class TelemetryEvent:

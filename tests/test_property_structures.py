@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.android import AndroidManifest, ComponentDecl, ComponentKind, IntentFilterDecl
 from repro.android.timeline import ForegroundTimeline
 from repro.core import AttackKind, LinkGraph
-from repro.core.links import SCREEN_TARGET
 from repro.core.energy_map import CollateralMapSet
 from repro.power import Battery, EnergyMeter
 from repro.sim import Kernel
@@ -268,7 +267,7 @@ class TestGraphMapProperties:
             time += 1.0
             if action == "begin" and a != b:
                 live.append(graph.begin(AttackKind.ACTIVITY, a, b, time))
-                maps.link_opened(time, graph, a, b)
+                maps.sync(time, graph, a)
             elif action == "end" and live:
                 link = live.pop(a % len(live))
                 graph.end(link, time)
@@ -278,37 +277,6 @@ class TestGraphMapProperties:
                 expected = _scan_reachable(graph, host)
                 assert graph.reachable_from(host) == expected
                 assert maps.map_for(host).open_targets() == expected
-
-    @given(link_scripts())
-    def test_link_opened_matches_a_full_sync(self, script):
-        """The walk-free begin path leaves every map exactly as sync does,
-        down to the order map elements were created in.
-
-        Uids are spaced by 8 (and target 6 is the screen) so they collide
-        in small hash tables, where set iteration order depends on
-        insertion order — as real uids (10000 + n) and SCREEN_TARGET do.
-        """
-        def uid(n):
-            return SCREEN_TARGET if n == 6 else 10000 + 8 * n
-
-        graph = LinkGraph()
-        fast, full = CollateralMapSet(), CollateralMapSet()
-        live = []
-        time = 0.0
-        for action, a, b in script:
-            time += 1.0
-            if action == "begin" and a != b:
-                live.append(graph.begin(AttackKind.SERVICE_BIND, uid(a), uid(b), time))
-                fast.link_opened(time, graph, uid(a), uid(b))
-                full.sync(time, graph, uid(a))
-            elif action == "end" and live:
-                link = live.pop(a % len(live))
-                graph.end(link, time)
-                fast.sync(time, graph, link.driving_uid)
-                full.sync(time, graph, link.driving_uid)
-            assert fast.version == full.version
-            for host in graph.hosts():
-                assert list(fast.map_for(host).items()) == list(full.map_for(host).items())
 
     @given(link_scripts())
     def test_total_window_time_bounded_by_elapsed(self, script):
