@@ -9,9 +9,8 @@
    session's partial is looked up under
    ``refs/aggregate/<session-digest16>-<request-token16>`` — only
    *dirty* sessions (new content, new request shape) are recomputed;
-3. **scatter** — misses are computed in-process (``workers <= 1``) or
-   fanned shard-per-worker through the exec engine's process pool via
-   the auxiliary ``aggregate`` experiment spec;
+3. **scatter** — misses are computed in-process, one retried dispatch
+   per session;
 4. **gather** — partials merge pairwise (pure, associative; see
    :mod:`repro.aggregate.partial`) into the versioned
    ``repro.aggregate/1`` payload.
@@ -64,7 +63,6 @@ class AggregateResponse:
     #: payload bytes stay identical across live / memoized / chaos runs.
     memoized: int = 0
     computed: int = 0
-    shards: int = 0
 
     @property
     def ok(self) -> bool:
@@ -84,7 +82,6 @@ class AggregateResponse:
             "latency_us": self.latency_us,
             "memoized": self.memoized,
             "computed": self.computed,
-            "shards": self.shards,
         }
         if self.payload is not None:
             data["aggregate"] = self.payload
@@ -101,7 +98,6 @@ class _Scatter:
     missing: Dict[str, str] = field(default_factory=dict)
     memoized: int = 0
     computed: int = 0
-    shards: int = 0
 
 
 def _session_digest(record: "SessionRecord") -> Optional[str]:
@@ -170,13 +166,13 @@ def _memoize(
         pass
 
 
-def _compute_local(
+def _compute(
     service: "ProfilingService",
     request: AggregateRequest,
     names: List[str],
     scatter: _Scatter,
 ) -> None:
-    """In-process scatter: one retried dispatch per session."""
+    """The scatter: one retried in-process dispatch per session."""
     for name in names:
         record = service.sessions[name]
 
@@ -194,83 +190,6 @@ def _compute_local(
         scatter.partials[name] = partial
         scatter.computed += 1
         _memoize(service, request, name, partial)
-
-
-def _compute_sharded(
-    service: "ProfilingService",
-    request: AggregateRequest,
-    names: List[str],
-    scatter: _Scatter,
-) -> None:
-    """Fan misses out shard-per-worker through the exec engine."""
-    from ..exec.engine import EngineConfig, ExperimentEngine
-
-    by_shard: Dict[int, List[str]] = {}
-    for name in names:
-        by_shard.setdefault(service.shard_of(name), []).append(name)
-
-    requests = []
-    shard_names: List[List[str]] = []
-    for shard in sorted(by_shard):
-        members = by_shard[shard]
-        try:
-            traces = {
-                name: service.sessions[name].trace_json for name in members
-            }
-        except (RetriesExhaustedError, StoreError, OSError) as exc:
-            # A spilled trace would not come back: this shard's sessions
-            # are missing (named), the other shards still dispatch.
-            for name in members:
-                scatter.missing[name] = f"{type(exc).__name__}: {exc}"
-            continue
-        requests.append(
-            ("aggregate", {"traces": traces, "request": request.to_dict()})
-        )
-        shard_names.append(members)
-    if not requests:
-        return
-    scatter.shards = len(requests)
-    engine = ExperimentEngine(
-        EngineConfig(parallel=service.config.workers, use_cache=False)
-    )
-
-    def _dispatch():
-        fault_point("aggregate.dispatch")
-        return engine.run(requests)
-
-    try:
-        run = run_with_retry(
-            _dispatch, site="aggregate.dispatch", retry_on=(OSError,)
-        )
-    except (RetriesExhaustedError, InjectedWorkerCrash) as exc:
-        for members in shard_names:
-            for name in members:
-                scatter.missing[name] = f"{type(exc).__name__}: {exc}"
-        return
-    for members, result in zip(shard_names, run.results):
-        metrics = result.outcome.metrics or {}
-        partials = metrics.get("partials")
-        if partials is None:  # the whole shard job failed
-            reason = result.outcome.error or "aggregate shard worker failed"
-            for name in members:
-                scatter.missing[name] = reason
-            continue
-        errors = metrics.get("errors", {})
-        for name in members:
-            raw = partials.get(name)
-            if raw is None:
-                scatter.missing[name] = errors.get(
-                    name, "shard worker returned no partial"
-                )
-                continue
-            try:
-                partial = partial_from_dict(raw)
-            except PartialFormatError as exc:
-                scatter.missing[name] = f"PartialFormatError: {exc}"
-                continue
-            scatter.partials[name] = partial
-            scatter.computed += 1
-            _memoize(service, request, name, partial)
 
 
 def _gather(
@@ -316,14 +235,10 @@ def run_aggregate(
     for name in hits:
         _publish_partial(service, name, memoized=True)
 
-    if to_compute:
-        if service.config.workers > 1 and len(to_compute) > 1:
-            _compute_sharded(service, request, to_compute, scatter)
-        else:
-            _compute_local(service, request, to_compute, scatter)
-        for name in to_compute:
-            if name in scatter.partials:
-                _publish_partial(service, name, memoized=False)
+    _compute(service, request, to_compute, scatter)
+    for name in to_compute:
+        if name in scatter.partials:
+            _publish_partial(service, name, memoized=False)
 
     merged, included = _gather(request, scatter)
     payload: Dict[str, Any] = {
@@ -346,7 +261,6 @@ def run_aggregate(
         latency_us=(time.perf_counter() - started) * 1e6,
         memoized=scatter.memoized,
         computed=scatter.computed,
-        shards=scatter.shards,
     )
 
 

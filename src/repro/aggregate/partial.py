@@ -2,16 +2,15 @@
 
 Each selected session contributes one *partial*; the gather step folds
 partials into the final ``repro.aggregate/1`` payload.  The contract
-that makes the fan-out safe to reorder, memoize, and retry:
+that makes the gather safe to reorder, memoize, and retry:
 
 * ``merge(a, b)`` is **pure** (returns a new partial, inputs untouched),
   **commutative**, and **associative** — the property suite proves that
-  shuffled shard orders produce *byte-identical* payloads;
+  shuffled partial orders produce *byte-identical* payloads;
 * merging rejects overlapping sessions (:class:`PartialMergeError`), so
-  a retried shard can never double-count a session silently;
+  a retried dispatch can never double-count a session silently;
 * every partial round-trips through flat JSON
-  (:data:`PARTIAL_SCHEMA`), which is both the shard wire form and the
-  artifact-store memo format.
+  (:data:`PARTIAL_SCHEMA`), the artifact-store memo format.
 
 Float associativity is handled structurally rather than numerically:
 :class:`GroupedPartial` keeps *per-session* values (group -> session ->
@@ -139,7 +138,7 @@ class GroupedPartial:
     # wire form
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (shard wire + store memo), canonically sorted."""
+        """JSON-ready form (the store memo), canonically sorted."""
         return {
             "schema": PARTIAL_SCHEMA,
             "kind": self.kind,
@@ -227,7 +226,7 @@ class HistogramPartial:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (shard wire + store memo)."""
+        """JSON-ready form (the store memo)."""
         return {
             "schema": PARTIAL_SCHEMA,
             "kind": self.kind,

@@ -249,7 +249,7 @@ def _build_serve_service():
     from ..workloads import ALL_ATTACKS
 
     run = ALL_ATTACKS["attack1"](60.0)
-    service = ProfilingService(ServiceConfig(workers=1, telemetry=False))
+    service = ProfilingService(ServiceConfig(telemetry=False))
     service.ingest_trace("bench", capture_trace(run.system, run.eandroid), "bench")
     return service, ServiceClient(service)
 
@@ -560,7 +560,7 @@ def _build_aggregate_fleet(sessions: int = 8):
     from ..workloads import ALL_ATTACKS
 
     names = sorted(ALL_ATTACKS)
-    service = ProfilingService(ServiceConfig(workers=1, telemetry=False))
+    service = ProfilingService(ServiceConfig(telemetry=False))
     for index in range(sessions):
         run = ALL_ATTACKS[names[index % len(names)]](30.0)
         service.ingest_trace(

@@ -33,7 +33,6 @@ Commands:
   ingests traces (file / JSONL stream / directory / check corpus),
   ``--queries FILE`` answers a JSONL query stream in one shot,
   ``--daemon`` serves JSONL queries from stdin to stdout;
-  ``--workers N`` shards sessions over engine worker processes,
   ``--queue``/``--burst`` control admission, ``--save DIR`` writes
   ``manifest.json`` + ``responses.jsonl``; ``--store DIR`` runs the
   service against an artifact store (digest-memoized corpus replay,
@@ -413,8 +412,8 @@ def _serve_run(args: argparse.Namespace) -> int:
         STATUS_SHED,
         ProfilingService,
         ProtocolError,
-        ServiceClient,
         ServiceConfig,
+        expand_sessions,
         parse_queries_jsonl,
         responses_to_jsonl,
     )
@@ -423,13 +422,11 @@ def _serve_run(args: argparse.Namespace) -> int:
         ServiceConfig(
             max_queue=args.queue,
             cache_entries=args.cache_entries,
-            workers=args.workers,
             telemetry=True,
             store_dir=args.store or None,
             spill=args.spill,
         )
     )
-    client = ServiceClient(service)
     if args.restore:
         if not args.store:
             print("--restore needs --store DIR", file=sys.stderr)
@@ -460,7 +457,9 @@ def _serve_run(args: argparse.Namespace) -> int:
         except (OSError, ProtocolError) as exc:
             print(f"cannot load queries: {exc}", file=sys.stderr)
             return 2
-        expanded = client.expand(queries)
+        expanded = [
+            q for query in queries for q in expand_sessions(query, service.sessions)
+        ]
         responses = service.serve_batch(expanded, burst=args.burst)
         answered = sum(r.ok for r in responses)
         shed = sum(r.status == STATUS_SHED for r in responses)
@@ -478,7 +477,7 @@ def _serve_run(args: argparse.Namespace) -> int:
         if code != 0:
             return code
     elif args.daemon:
-        _serve_daemon(service, client)
+        _serve_daemon(service)
 
     manifest = service.manifest()
     if args.save:
@@ -506,7 +505,7 @@ def _serve_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _serve_daemon(service, client) -> None:
+def _serve_daemon(service) -> None:
     """JSONL request/response loop on stdin/stdout (until EOF).
 
     A line carrying an ``op`` field is a fleet aggregate
@@ -518,7 +517,12 @@ def _serve_daemon(service, client) -> None:
     """
     import json
 
-    from .serve import MAX_LINE_BYTES, decode_request_line, encode_response_line
+    from .serve import (
+        MAX_LINE_BYTES,
+        decode_request_line,
+        encode_response_line,
+        expand_sessions,
+    )
 
     seq = 0
     for raw in sys.stdin:
@@ -559,7 +563,7 @@ def _serve_daemon(service, client) -> None:
             sys.stdout.write(json.dumps(out) + "\n")
             sys.stdout.flush()
             continue
-        for expanded in client.expand([decoded.query]):
+        for expanded in expand_sessions(decoded.query, service.sessions):
             sys.stdout.write(encode_response_line(service.submit(expanded)))
         sys.stdout.flush()
 
@@ -632,11 +636,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     from .serve import ProfilingService, ServiceConfig
 
     service = ProfilingService(
-        ServiceConfig(
-            workers=args.workers,
-            telemetry=False,
-            store_dir=args.store or None,
-        )
+        ServiceConfig(telemetry=False, store_dir=args.store or None)
     )
     if args.restore:
         if not args.store:
@@ -690,9 +690,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     missing = payload.get("missing_sessions", [])
     print(
         f"aggregated {len(payload.get('sessions', []))} session(s) "
-        f"({response.memoized} memoized, {response.computed} computed"
-        + (f", {response.shards} shard(s)" if response.shards else "")
-        + ")"
+        f"({response.memoized} memoized, {response.computed} computed)"
         + (f"; partial — missing: {', '.join(missing)}" if missing else ""),
         file=sys.stderr,
     )
@@ -1099,12 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection in-flight query cap for --listen (default 32)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard sessions over N engine worker processes (default: in-process)",
-    )
-    serve.add_argument(
         "--queue",
         type=int,
         default=256,
@@ -1212,12 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="bin width in joules for --op histogram",
-    )
-    aggregate.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="scatter shards over N engine worker processes",
     )
     aggregate.add_argument(
         "--out", default="", help="write the repro.aggregate/1 payload here"

@@ -61,9 +61,8 @@ KNOWN_SITES = (
     "serve.parse",      # trace/corpus document parse during ingest
     "serve.spill",      # SessionRecord.spill to the store
     "serve.restore",    # spilled-session fault-in on first query
-    "serve.dispatch",   # shard fan-out through the exec engine
     "serve.query",      # in-process query answer path
-    "aggregate.dispatch",  # per-session partial compute / shard fan-out
+    "aggregate.dispatch",  # per-session partial compute
     "aggregate.merge",     # gather-step partial merge
     "net.accept",       # TCP front-end connection admission
     "net.read",         # socket read path (request bytes)
@@ -217,7 +216,10 @@ class FaultPlan:
         This is what ``repro check --chaos`` and the soak test use —
         io-errors and byte corruption on store reads, torn and failing
         store writes, worker crashes and latency spikes in the engine,
-        and parse/dispatch/query failures in the serving path.
+        parse/spill/restore/query failures in the serving path, and
+        dispatch/merge failures in fleet aggregates.  Each spec draws
+        from an rng stream seeded by its index, so adding or removing a
+        spec moves the streams of every spec after it.
         """
         specs: List[FaultSpec] = [
             FaultSpec(site="store.read", kind="io-error", probability=rate),
@@ -235,10 +237,7 @@ class FaultPlan:
             FaultSpec(site="serve.parse", kind="io-error", probability=rate),
             FaultSpec(site="serve.spill", kind="io-error", probability=rate),
             FaultSpec(site="serve.restore", kind="io-error", probability=rate),
-            FaultSpec(site="serve.dispatch", kind="io-error", probability=rate),
             FaultSpec(site="serve.query", kind="io-error", probability=rate),
-            # Appended (not inserted) so the earlier specs keep their rng
-            # streams and existing chaos runs stay bit-reproducible.
             FaultSpec(site="aggregate.dispatch", kind="io-error", probability=rate),
             FaultSpec(site="aggregate.merge", kind="io-error", probability=rate),
         ]

@@ -2,8 +2,8 @@
 
 Transient failures — an injected io-error, a flaky disk, a briefly
 broken pool — are retried under one :class:`RetryPolicy` shape
-everywhere (ResultCache store reads, serve shard dispatch, spilled-
-session restore) so the robustness behaviour is analysable in one
+everywhere (ResultCache store reads, aggregate partial dispatch,
+spilled-session restore) so the robustness behaviour is analysable in one
 place:
 
 * the *backoff schedule* is pure and monotone non-decreasing —

@@ -4,8 +4,7 @@ Ingest device traces (files, JSONL streams, directories, the check
 corpus) into sessions once; answer ``energy`` / ``batterystats`` /
 ``powertutor`` / ``eandroid`` / ``collateral`` report queries many
 times, through the unified :mod:`repro.reports` API, with an LRU result
-cache, shard-per-worker fan-out over :mod:`repro.exec`, and explicit
-backpressure.  See ``docs/SERVING.md``.
+cache and explicit backpressure.  See ``docs/SERVING.md``.
 """
 
 from .client import QueryFailedError, ServiceClient
@@ -31,6 +30,7 @@ from .protocol import (
     QueryResponse,
     decode_request_line,
     encode_response_line,
+    expand_sessions,
     parse_queries_jsonl,
     responses_to_jsonl,
 )
@@ -74,6 +74,7 @@ __all__ = [
     "UnknownSessionError",
     "decode_request_line",
     "encode_response_line",
+    "expand_sessions",
     "iter_traces",
     "parse_queries_jsonl",
     "responses_to_jsonl",

@@ -17,10 +17,16 @@ out-of-process callers.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..reports.request import ReportRequest
-from .protocol import ALL_SESSIONS, STATUS_SHED, QueryRequest, QueryResponse
+from .protocol import (
+    ALL_SESSIONS,
+    STATUS_SHED,
+    QueryRequest,
+    QueryResponse,
+    expand_sessions,
+)
 from .service import ProfilingService
 
 
@@ -75,19 +81,16 @@ class ServiceClient:
         ]
 
     def expand(self, queries: Sequence[QueryRequest]) -> List[QueryRequest]:
-        """Expand ``"*"`` sessions in an already-built query list."""
-        expanded: List[QueryRequest] = []
-        for query in queries:
-            if query.session == ALL_SESSIONS:
-                expanded.extend(
-                    QueryRequest(
-                        id=self._take_id(), session=name, report=query.report
-                    )
-                    for name in self.service.session_names()
-                )
-            else:
-                expanded.append(query)
-        return expanded
+        """Expand ``"*"`` sessions in an already-built query list.
+
+        Each expanded query keeps its line's ``id``
+        (:func:`~repro.serve.protocol.expand_sessions`).
+        """
+        return [
+            expanded
+            for query in queries
+            for expanded in expand_sessions(query, self.service.sessions)
+        ]
 
     # ------------------------------------------------------------------
     # issuing queries
@@ -126,34 +129,37 @@ class ServiceClient:
     ) -> List[QueryResponse]:
         """Serve a batch, resubmitting shed queries a bounded number of
         times; raises :class:`QueryFailedError` on the first hard error.
+
+        Returns one response per (expanded) query, in query order.
         """
-        pending = self.expand(list(queries))
-        answered: Dict[int, QueryResponse] = {}
-        arrival = [q.id for q in pending]
+        arrival = self.expand(queries)
+        answered: List[Optional[QueryResponse]] = [None] * len(arrival)
+        pending = list(range(len(arrival)))
         for _ in range(self.max_resubmits + 1):
             if not pending:
                 break
-            responses = self.service.serve_batch(pending, burst=burst)
-            by_id = {q.id: q for q in pending}
-            pending = []
-            for response in responses:
+            responses = self.service.serve_batch(
+                [arrival[i] for i in pending], burst=burst
+            )
+            shed: List[int] = []
+            # serve_batch answers by position, so ids may repeat freely.
+            for index, response in zip(pending, responses):
                 if response.status == STATUS_SHED:
-                    pending.append(by_id[response.id])
-                    answered[response.id] = response  # kept if retries run out
-                else:
-                    if response.status != "ok":
-                        raise QueryFailedError(response)
-                    answered[response.id] = response
-        for qid, response in answered.items():
-            if response.status == STATUS_SHED:
-                # Name the query that ran out of resubmits — a bare
-                # "shed" tells the caller nothing about *what* to retry.
-                answered[qid] = replace(
-                    response,
-                    error=(
-                        f"query {response.id} on session {response.session!r} "
-                        f"still shed after {self.max_resubmits} resubmit(s): "
-                        f"{response.error or 'queue full'}"
-                    ),
-                )
-        return [answered[qid] for qid in arrival]
+                    shed.append(index)  # kept below if retries run out
+                elif not response.ok:
+                    raise QueryFailedError(response)
+                answered[index] = response
+            pending = shed
+        for index in pending:
+            response = answered[index]
+            # Name the query that ran out of resubmits — a bare "shed"
+            # tells the caller nothing about *what* to retry.
+            answered[index] = replace(
+                response,
+                error=(
+                    f"query {response.id} on session {response.session!r} "
+                    f"still shed after {self.max_resubmits} resubmit(s): "
+                    f"{response.error or 'queue full'}"
+                ),
+            )
+        return answered

@@ -63,7 +63,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..faults import fault_point, filter_read, filter_write, is_active
@@ -81,6 +81,7 @@ from .protocol import (
     QueryResponse,
     decode_request_line,
     encode_response_line,
+    expand_sessions,
 )
 from .service import ProfilingService
 
@@ -422,27 +423,7 @@ class NetServer:
             return
         query = decoded.query
         assert query is not None
-        if query.session == ALL_SESSIONS:
-            expanded = [
-                replace(query, session=name)
-                for name in self.service.session_names()
-            ]
-            if not expanded:
-                self.stats.errors += 1
-                await self._enqueue(
-                    conn,
-                    {
-                        "id": query.id,
-                        "session": ALL_SESSIONS,
-                        "status": STATUS_ERROR,
-                        "error": "wildcard query matched no sessions "
-                        "(nothing ingested)",
-                    },
-                )
-                return
-        else:
-            expanded = [query]
-        for subquery in expanded:
+        for subquery in expand_sessions(query, self.service.sessions):
             await self._admit(conn, decoded, subquery)
 
     async def _admit(

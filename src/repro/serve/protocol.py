@@ -19,7 +19,7 @@ Response statuses:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..reports.request import ReportRequest
@@ -28,7 +28,8 @@ STATUS_OK = "ok"
 STATUS_SHED = "shed"
 STATUS_ERROR = "error"
 
-#: Session name that expands to *every* ingested session client-side.
+#: Session name that expands to *every* ingested session (see
+#: :func:`expand_sessions`).
 ALL_SESSIONS = "*"
 
 #: The largest wire line (request side) any serving front-end accepts —
@@ -63,7 +64,7 @@ class QueryRequest:
     """One query: which session, which report.
 
     ``id`` is caller-chosen and echoed back verbatim so responses can be
-    matched to requests across batching and shard fan-out.
+    matched to request lines.
     """
 
     id: int
@@ -91,6 +92,21 @@ class QueryRequest:
             raise ProtocolError("query is missing required field 'backend'")
         report = ReportRequest.from_dict(data)
         return cls(id=int(data.get("id", default_id)), session=session, report=report)
+
+
+def expand_sessions(
+    query: QueryRequest, sessions: Iterable[str]
+) -> List[QueryRequest]:
+    """``query`` once per session for the ``"*"`` wildcard, else alone.
+
+    Each expanded query keeps the line's own ``id``, on every transport:
+    one request line is one id, however many sessions it fans out to.
+    A wildcard over no sessions stays as it is, so the service answers
+    it with a typed error instead of nothing.
+    """
+    if query.session != ALL_SESSIONS:
+        return [query]
+    return [replace(query, session=name) for name in sessions] or [query]
 
 
 @dataclass

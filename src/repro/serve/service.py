@@ -1,4 +1,4 @@
-"""The profiling query service: sessions, shards, cache, admission.
+"""The profiling query service: sessions, cache, admission.
 
 :class:`ProfilingService` is the long-lived serving path the ROADMAP
 asks for — ingest once, answer many.  One *session* per ingested
@@ -7,17 +7,13 @@ asks for — ingest once, answer many.  One *session* per ingested
 answered through the unified :class:`~repro.reports.ReportView`
 protocol, so all five backends come back in one shape.
 
-Scale-out structure:
+Structure:
 
 * **Result LRU** — answered wire payloads are cached on
   ``(session, backend, window, owners)``; an unchanged question is a
   dictionary lookup, never a recomputation, and a transport encodes
   each cached payload's JSON once (:class:`~repro.serve.CachedReport`).
-* **Shard-per-worker** — sessions hash-partition over ``workers``
-  shards (stable crc32 of the session name); with ``workers > 1`` a
-  batch's cache misses fan out through the existing
-  :class:`~repro.exec.engine.ExperimentEngine` process pool, one
-  ``serve`` job per shard.
+  Misses are computed in this process.
 * **Admission control** — arrivals are taken in bursts against a
   bounded queue of depth ``max_queue``; what doesn't fit is *shed* with
   an explicit ``status: shed`` response (never silently dropped), the
@@ -49,6 +45,7 @@ from ..reports.request import UnknownBackendError
 from ..store import StoreError
 from .ingest import IngestedTrace, IngestError, PathLike, iter_traces
 from .protocol import (
+    ALL_SESSIONS,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
@@ -72,7 +69,6 @@ class ServiceConfig:
 
     max_queue: int = 256
     cache_entries: int = 512
-    workers: int = 1
     telemetry: bool = True
     store_dir: Optional[str] = None
     spill: bool = False
@@ -82,7 +78,6 @@ class ServiceConfig:
         return {
             "max_queue": self.max_queue,
             "cache_entries": self.cache_entries,
-            "workers": self.workers,
             "telemetry": self.telemetry,
             "store_dir": self.store_dir,
             "spill": self.spill,
@@ -90,7 +85,7 @@ class ServiceConfig:
 
 
 class SessionRecord:
-    """One ingested trace, lazily analyzable and lazily re-serialisable.
+    """One ingested trace, lazily analyzable.
 
     The summary fields (``captured_at``, ``channel_count`` …) are cached
     at construction so manifests and telemetry never fault a spilled
@@ -108,7 +103,6 @@ class SessionRecord:
         self.source = source
         self._trace: Optional[DeviceTrace] = trace
         self._analyzer: Optional[OfflineAnalyzer] = None
-        self._trace_json: Optional[str] = None
         self._store: Optional["ArtifactStore"] = None
         self._digest: Optional[str] = None
         #: Stable content identity (source sha256 or artifact digest);
@@ -129,7 +123,6 @@ class SessionRecord:
         record.source = source
         record._trace = None
         record._analyzer = None
-        record._trace_json = None
         record._store = store
         record._digest = digest
         record.content_digest = digest
@@ -197,7 +190,6 @@ class SessionRecord:
             self.content_digest = self._digest
         self._trace = None
         self._analyzer = None
-        self._trace_json = None
         return self._digest
 
     @property
@@ -206,13 +198,6 @@ class SessionRecord:
         if self._analyzer is None:
             self._analyzer = OfflineAnalyzer(self.trace)
         return self._analyzer
-
-    @property
-    def trace_json(self) -> str:
-        """The trace re-serialised for shipping to shard workers."""
-        if self._trace_json is None:
-            self._trace_json = self.trace.to_json()
-        return self._trace_json
 
     def describe(self) -> Dict[str, Any]:
         """JSON-ready session summary (for the manifest)."""
@@ -327,6 +312,8 @@ class UnknownSessionError(KeyError):
         self.session = session
 
     def __str__(self) -> str:
+        if self.session == ALL_SESSIONS:
+            return "wildcard query matched no sessions (nothing ingested)"
         return f"unknown session {self.session!r}"
 
 
@@ -476,14 +463,6 @@ class ProfilingService:
         return list(self.sessions)
 
     # ------------------------------------------------------------------
-    # sharding
-    # ------------------------------------------------------------------
-    def shard_of(self, session: str) -> int:
-        """Stable shard assignment for a session name."""
-        workers = max(1, self.config.workers)
-        return zlib.crc32(session.encode("utf-8")) % workers
-
-    # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
     def submit(self, query: QueryRequest) -> QueryResponse:
@@ -526,9 +505,9 @@ class ProfilingService:
         """Answer one fleet aggregate across this service's sessions.
 
         Scatter-gather over every session the request's selector
-        matches: partials come from the store memo when fresh, from the
-        shard pool (``workers > 1``) or in-process otherwise, and merge
-        into one ``repro.aggregate/1`` payload.  See
+        matches: partials come from the store memo when fresh and are
+        computed in-process otherwise, then merge into one
+        ``repro.aggregate/1`` payload.  See
         :func:`repro.aggregate.run_aggregate`.
         """
         from ..aggregate.engine import run_aggregate
@@ -550,152 +529,22 @@ class ProfilingService:
         size shedding is impossible — backpressure only appears when the
         caller deliberately delivers bursts larger than the queue.
 
-        Responses come back in arrival order regardless of shard
-        completion order.
+        Returns one response per query, in arrival order: ``responses[i]``
+        answers ``queries[i]`` whatever the ids.
         """
         burst_size = self.config.max_queue if burst is None else max(1, burst)
-        responses: Dict[int, QueryResponse] = {}
-        order: List[int] = []
+        responses: List[QueryResponse] = []
         for begin in range(0, len(queries), burst_size):
             arrival = queries[begin : begin + burst_size]
-            admitted = list(arrival[: self.config.max_queue])
-            for overflow in arrival[self.config.max_queue :]:
-                responses[overflow.id] = self.shed(overflow)
-                order.append(overflow.id)
-            for query in admitted:
-                order.append(query.id)
-            for answered in self._drain(admitted):
-                responses[answered.id] = answered
-        # Arrival order, not completion order.
-        seen: set = set()
-        ordered: List[QueryResponse] = []
-        for qid in order:
-            if qid in seen:
-                continue
-            seen.add(qid)
-            ordered.append(responses[qid])
-        return ordered
+            admitted = arrival[: self.config.max_queue]
+            responses.extend(self.submit(query) for query in admitted)
+            overflow = arrival[self.config.max_queue :]
+            responses.extend(self.shed(query) for query in overflow)
+        return responses
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _drain(self, admitted: List[QueryRequest]) -> List[QueryResponse]:
-        """Serve one admitted burst, fanning misses out over shards."""
-        if self.config.workers <= 1 or len(admitted) < 2:
-            return [self.submit(query) for query in admitted]
-
-        responses: List[QueryResponse] = []
-        misses_by_shard: Dict[int, List[QueryRequest]] = {}
-        for query in admitted:
-            self.stats.received += 1
-            started = time.perf_counter()
-            entry = self.cache.entry(query.key())
-            if entry is not None:
-                responses.append(
-                    self._finish(query, entry.payload, started, True, entry)
-                )
-                continue
-            if query.session not in self.sessions:
-                responses.append(
-                    self._finish_error(
-                        query, str(UnknownSessionError(query.session)), started
-                    )
-                )
-                continue
-            misses_by_shard.setdefault(self.shard_of(query.session), []).append(query)
-        if misses_by_shard:
-            responses.extend(self._dispatch_shards(misses_by_shard))
-        return responses
-
-    def _dispatch_shards(
-        self, misses_by_shard: Dict[int, List[QueryRequest]]
-    ) -> List[QueryResponse]:
-        """Run one ``serve`` engine job per shard; fold results back."""
-        from ..exec.engine import EngineConfig, ExperimentEngine
-
-        responses: List[QueryResponse] = []
-        requests = []
-        shard_queries: List[List[QueryRequest]] = []
-        for shard, queries in sorted(misses_by_shard.items()):
-            sessions = {q.session for q in queries}
-            try:
-                traces = {
-                    name: self.sessions[name].trace_json for name in sessions
-                }
-            except (RetriesExhaustedError, StoreError, OSError) as exc:
-                # A spilled trace would not come back: every query on
-                # this shard errors with the failure named, the other
-                # shards still dispatch.
-                for query in queries:
-                    responses.append(
-                        self._finish_error(
-                            query,
-                            f"{type(exc).__name__}: {exc}",
-                            time.perf_counter(),
-                        )
-                    )
-                continue
-            requests.append(
-                (
-                    "serve",
-                    {
-                        "traces": traces,
-                        "queries": [q.to_dict() for q in queries],
-                    },
-                )
-            )
-            shard_queries.append(queries)
-        if not requests:
-            return responses
-        engine = ExperimentEngine(
-            EngineConfig(parallel=self.config.workers, use_cache=False)
-        )
-
-        def _dispatch():
-            fault_point("serve.dispatch")
-            return engine.run(requests)
-
-        try:
-            run = run_with_retry(_dispatch, site="serve.dispatch", retry_on=(OSError,))
-        except RetriesExhaustedError as exc:
-            for queries in shard_queries:
-                for query in queries:
-                    responses.append(
-                        self._finish_error(query, str(exc), time.perf_counter())
-                    )
-            return responses
-        for queries, result in zip(shard_queries, run.results):
-            raw = result.outcome.metrics.get("responses")
-            if raw is None:  # the whole shard job failed — every query errors
-                for query in queries:
-                    responses.append(
-                        self._finish_error(
-                            query,
-                            result.outcome.error or "shard worker failed",
-                            time.perf_counter(),
-                        )
-                    )
-                continue
-            by_id = {int(r["id"]): QueryResponse.from_dict(r) for r in raw}
-            for query in queries:
-                response = by_id.get(query.id)
-                if response is None:
-                    response = QueryResponse(
-                        id=query.id,
-                        session=query.session,
-                        status=STATUS_ERROR,
-                        error="shard worker returned no response",
-                    )
-                if response.ok and response.report is not None:
-                    # The miss was already counted when _drain probed the
-                    # cache; just fold the remote answer in.
-                    response.cached_report = self.cache.store(
-                        query.key(), response.report
-                    )
-                self._note(query, response)
-                responses.append(response)
-        return responses
-
     def _answer(self, query: QueryRequest) -> Dict[str, Any]:
         """Compute one report payload (no cache, no stats)."""
         fault_point("serve.query")

@@ -207,6 +207,34 @@ class TestCliServe:
         assert manifest["cache"]["hits"] > 0  # repeated eandroid sweep
         assert (save / "responses.jsonl").exists()
 
+    def test_serve_wildcard_ids_follow_their_line(self, capsys, tmp_path):
+        import json
+
+        plain = "chaos-seed0-bc07bedbd53905df"  # one corpus session
+        queries = self._queries_file(
+            tmp_path,
+            [
+                {"session": "*", "backend": "energy"},
+                {"session": plain, "backend": "eandroid"},
+            ],
+        )
+        save = tmp_path / "out"
+        assert (
+            main(
+                ["serve", "--batch", "corpus", "--queries", str(queries),
+                 "--save", str(save)]
+            )
+            == 0
+        )
+        sessions = json.loads((save / "manifest.json").read_text())["sessions"]
+        responses = [
+            json.loads(line)
+            for line in (save / "responses.jsonl").read_text().splitlines()
+        ]
+        assert [(r["id"], r["session"]) for r in responses] == [
+            (1, name) for name in sessions
+        ] + [(2, plain)]
+
     def test_serve_bad_batch_path(self, capsys):
         assert main(["serve", "--batch", "no-such-dir"]) == 2
         assert "cannot ingest" in capsys.readouterr().err

@@ -32,7 +32,7 @@ from repro.faults import (
 )
 from repro.offline import capture_trace
 from repro.serve import ProfilingService, ServiceClient, ServiceConfig
-from repro.serve.protocol import STATUS_OK
+from repro.serve.protocol import STATUS_ERROR, STATUS_OK
 from repro.store import ArtifactCorruptError
 from repro.telemetry import capture
 from repro.workloads import run_scene1
@@ -241,6 +241,21 @@ class TestCacheCorruptionRepair:
         with pytest.raises(ArtifactCorruptError):
             cache.store_backend.get_bytes(digest)
 
+    def test_injected_read_corruption_degrades_to_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        self._seed_entry(cache)
+        with activate(_plan("store.read", "corrupt"), seed=0):
+            assert cache.load("exp", self.PARAMS) is None
+        assert cache.stats.corruptions == 1
+        assert cache.load("exp", self.PARAMS) is None  # evicted, recompute
+
+    def test_write_io_error_leaves_the_result_uncached(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with activate(_plan("store.write", "io-error"), seed=0):
+            cache.store("exp", self.PARAMS, self.OUTCOME, wall_time_s=0.1)
+        assert cache.stats.write_errors == 1
+        assert cache.load("exp", self.PARAMS) is None
+
     def test_io_errors_exhaust_retries_then_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         self._seed_entry(cache)
@@ -270,6 +285,20 @@ class TestServeDegradation:
         assert svc.stats.ingest_errors == 1
         manifest = svc.manifest()
         assert manifest["ingest_errors"][0]["source"].endswith("bad.json")
+
+    def test_parse_fault_is_recorded_per_source(self, tmp_path, scene_trace):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a", "b"):
+            (corpus / f"{name}.json").write_text(
+                scene_trace.to_json(), encoding="utf-8"
+            )
+        svc = _service(tmp_path)
+        with activate(_plan("serve.parse", "io-error", max_injections=1), seed=0):
+            names = svc.ingest(corpus, strict=False)
+        assert names == ["b"]
+        (error,) = svc.ingest_errors
+        assert error.source.endswith("a.json") and "InjectedIOError" in error.error
 
     def test_strict_ingest_still_raises(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -310,6 +339,26 @@ class TestServeDegradation:
         assert response.status != STATUS_OK
         assert response.error  # typed, never silent
         assert svc.stats.received == svc.stats.answered + svc.stats.errors + svc.stats.shed
+
+    def test_restore_site_exhaustion_is_a_typed_error(self, tmp_path, scene_trace):
+        svc = _service(tmp_path, spill=True)
+        svc.ingest_trace("scene", scene_trace, "test")
+        (query,) = ServiceClient(svc).build("scene", "eandroid")
+        with activate(_plan("serve.restore", "io-error"), seed=0):
+            response = svc.submit(query)
+        assert response.status == STATUS_ERROR
+        assert "RetriesExhaustedError" in response.error
+        assert svc.stats.errors == 1
+
+    def test_query_fault_is_a_typed_error(self, scene_trace):
+        svc = ProfilingService(ServiceConfig(telemetry=False))
+        svc.ingest_trace("scene", scene_trace, "test")
+        (query,) = ServiceClient(svc).build("scene", "energy")
+        with activate(_plan("serve.query", "io-error"), seed=0):
+            response = svc.submit(query)
+        assert response.status == STATUS_ERROR and response.error
+        assert svc.stats.errors == 1
+        assert svc.submit(query).status == STATUS_OK  # nothing cached
 
     def test_corrupt_memoized_replay_degrades_to_resimulation(self, tmp_path):
         """Regression: a corrupt memoized replay blob used to abort the
@@ -370,6 +419,19 @@ class TestExecDegradation:
         assert result.outcome.error is not None
         assert not result.outcome.claim_holds
         assert "InjectedWorkerCrash" in result.outcome.error
+
+    def test_result_channel_crash_requeues_then_deviates(self, tmp_path):
+        engine = ExperimentEngine(
+            EngineConfig(cache_dir=str(tmp_path / "cache"), use_cache=False)
+        )
+        job = [("fuzz", {"seeds": [5], "ops": 8})]
+        with activate(_plan("exec.result", "crash", max_injections=1), seed=0):
+            (requeued,) = engine.run(job).results
+        assert requeued.outcome.error is None and requeued.attempts == 2
+        with activate(_plan("exec.result", "crash"), seed=0):
+            (lost,) = engine.run(job).results
+        assert not lost.outcome.claim_holds
+        assert "result channel failed" in lost.outcome.error
 
     def test_spawn_failure_falls_back_to_serial(self, tmp_path):
         engine = ExperimentEngine(

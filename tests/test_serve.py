@@ -19,6 +19,7 @@ from repro.serve import (
     QueryResponse,
     ServiceClient,
     ServiceConfig,
+    expand_sessions,
     parse_queries_jsonl,
 )
 from repro.workloads import run_attack3, run_scene1
@@ -197,40 +198,63 @@ class TestServing:
         assert manifest["cache"]["capacity"] == service.config.cache_entries
 
 
-class TestSharding:
-    def test_two_workers_match_serial(self, scene_trace):
-        attack = run_attack3()
-        attack_trace = capture_trace(attack.system, attack.eandroid)
+class TestPositionalAnswers:
+    """serve_batch and submit_all answer each query by its position."""
 
-        def build(workers):
-            svc = ProfilingService(
-                ServiceConfig(workers=workers, telemetry=False)
-            )
-            svc.ingest_trace("scene", scene_trace, "test")
-            svc.ingest_trace("attack", attack_trace, "test")
-            return svc
-
-        serial, sharded = build(1), build(2)
+    def test_duplicate_ids_each_get_a_response(self, service):
         queries = [
-            QueryRequest(
-                id=i,
-                session=session,
-                report=ReportRequest(backend=backend),
-            )
-            for i, (session, backend) in enumerate(
-                (s, b)
-                for s in ("scene", "attack")
-                for b in ("batterystats", "eandroid", "collateral")
-            )
+            QueryRequest(7, "scene", ReportRequest("energy")),
+            QueryRequest(7, "scene", ReportRequest("eandroid")),
         ]
-        serial_responses = serial.serve_batch(list(queries))
-        sharded_responses = sharded.serve_batch(list(queries))
-        assert all(r.status == STATUS_OK for r in sharded_responses)
-        for a, b in zip(serial_responses, sharded_responses):
-            assert a.id == b.id and a.report == b.report
+        responses = service.serve_batch(queries)
+        assert len(responses) == service.stats.received == 2
+        assert [r.report["backend"] for r in responses] == ["energy", "eandroid"]
 
-    def test_shard_assignment_is_stable(self, service):
-        assert service.shard_of("scene") == service.shard_of("scene")
+    def test_overflow_is_shed_in_arrival_position(self, scene_trace):
+        svc = ProfilingService(ServiceConfig(max_queue=2, telemetry=False))
+        svc.ingest_trace("scene", scene_trace, "test")
+        queries = [
+            QueryRequest(i, "scene", ReportRequest("energy", start=float(i)))
+            for i in range(4)
+        ]
+        responses = svc.serve_batch(queries, burst=4)
+        assert [r.status for r in responses] == [
+            STATUS_OK,
+            STATUS_OK,
+            STATUS_SHED,
+            STATUS_SHED,
+        ]
+        assert [r.id for r in responses] == [0, 1, 2, 3]
+
+    def test_submit_all_matches_duplicate_ids_by_position(self, scene_trace):
+        attack = run_attack3()
+        svc = ProfilingService(ServiceConfig(telemetry=False))
+        svc.ingest_trace("a", scene_trace, "test")
+        svc.ingest_trace("b", capture_trace(attack.system, attack.eandroid), "test")
+        energy_a = QueryRequest(7, "a", ReportRequest("energy"))
+        eandroid_b = QueryRequest(7, "b", ReportRequest("eandroid"))
+        responses = ServiceClient(svc).submit_all([energy_a, eandroid_b])
+        assert [(r.session, r.report["backend"]) for r in responses] == [
+            ("a", "energy"),
+            ("b", "eandroid"),
+        ]
+        expected = svc.sessions["a"].analyzer.describe(energy_a.report)
+        assert responses[0].report == expected.to_dict()
+
+    def test_submit_all_resubmits_duplicate_ids_by_position(self, scene_trace):
+        svc = ProfilingService(ServiceConfig(max_queue=1, telemetry=False))
+        svc.ingest_trace("scene", scene_trace, "test")
+        queries = [
+            QueryRequest(1, "scene", ReportRequest(backend))
+            for backend in ("energy", "eandroid", "collateral")
+        ]
+        responses = ServiceClient(svc).submit_all(queries, burst=3)
+        assert [r.status for r in responses] == [STATUS_OK] * 3
+        assert [r.report["backend"] for r in responses] == [
+            "energy",
+            "eandroid",
+            "collateral",
+        ]
 
 
 class TestProtocol:
@@ -259,6 +283,14 @@ class TestProtocol:
         queries = parse_queries_jsonl(lines)
         assert [q.id for q in queries] == [3, 9]
 
+    def test_expand_sessions_keeps_the_line_id(self):
+        wildcard = QueryRequest(4, ALL_SESSIONS, ReportRequest("energy"))
+        plain = QueryRequest(5, "b", ReportRequest("energy"))
+        expanded = expand_sessions(wildcard, ["a", "b"])
+        assert [(q.id, q.session) for q in expanded] == [(4, "a"), (4, "b")]
+        assert expand_sessions(plain, ["a", "b"]) == [plain]
+        assert expand_sessions(wildcard, []) == [wildcard]
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ProtocolError, match="line 2"):
             parse_queries_jsonl(["# ok", "{broken"])
@@ -277,7 +309,7 @@ class TestStdinDaemon:
         from repro.cli import _serve_daemon
 
         monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
-        _serve_daemon(service, ServiceClient(service))
+        _serve_daemon(service)
         return [
             json.loads(line)
             for line in capsys.readouterr().out.splitlines()
@@ -329,6 +361,31 @@ class TestStdinDaemon:
         assert [r["status"] for r in out] == [STATUS_OK]
         assert out[0]["report"]["total_j"] > 0.0
 
+    def test_wildcard_and_plain_lines_keep_their_line_ids(
+        self, scene_trace, monkeypatch, capsys
+    ):
+        svc = ProfilingService(ServiceConfig(telemetry=False))
+        for name in ("a", "b", "c"):
+            svc.ingest_trace(name, scene_trace, "test")
+        lines = [
+            json.dumps({"session": ALL_SESSIONS, "backend": "energy"}) + "\n",
+            json.dumps({"session": "b", "backend": "eandroid"}) + "\n",
+        ]
+        out = self._run_daemon(svc, lines, monkeypatch, capsys)
+        assert [(r["id"], r["session"]) for r in out] == [
+            (1, "a"),
+            (1, "b"),
+            (1, "c"),
+            (2, "b"),
+        ]
+
+    def test_wildcard_with_no_sessions_is_a_typed_error(self, monkeypatch, capsys):
+        empty = ProfilingService(ServiceConfig(telemetry=False))
+        line = json.dumps({"id": 3, "session": ALL_SESSIONS, "backend": "energy"})
+        (response,) = self._run_daemon(empty, [line + "\n"], monkeypatch, capsys)
+        assert response["id"] == 3 and response["status"] == STATUS_ERROR
+        assert "no sessions" in response["error"]
+
     def test_repeat_query_lines_are_exact_and_reuse_report_text(
         self, service, monkeypatch, capsys
     ):
@@ -338,7 +395,7 @@ class TestStdinDaemon:
 
         line = json.dumps({"id": 3, "session": "scene", "backend": "eandroid"})
         monkeypatch.setattr("sys.stdin", io.StringIO((line + "\n") * 2))
-        _serve_daemon(service, ServiceClient(service))
+        _serve_daemon(service)
         wire = capsys.readouterr().out.splitlines(keepends=True)
         assert len(wire) == 2
         for raw in wire:

@@ -346,6 +346,49 @@ class TestConnectionIsolation:
         assert eof == b""  # the refused connection is closed, not hung
         assert server.stats.connections_refused == 1
 
+    def test_accept_fault_refuses_with_an_id_zero_error_line(self, service):
+        plan = FaultPlan(
+            specs=(FaultSpec("net.accept", "io-error", 1.0, max_injections=1),)
+        )
+
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            refusal = json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=10.0)
+            )
+            eof = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            after = await _raw_roundtrip(host, port, [_line(2)])
+            return refusal, eof, after
+
+        with activate(plan, seed=0):
+            server, (refusal, eof, after) = run_net(service, NetConfig(), scenario)
+        assert refusal["id"] == 0 and refusal["status"] == STATUS_ERROR
+        assert "accept fault" in refusal["error"]
+        assert eof == b""  # refused and closed, never a hang
+        assert [(r["id"], r["status"]) for r in after] == [(2, STATUS_OK)]
+        assert server.stats.connections_refused == 1
+
+    def test_read_fault_tears_down_only_that_connection(self, service):
+        plan = FaultPlan(
+            specs=(FaultSpec("net.read", "io-error", 1.0, max_injections=1),)
+        )
+
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(_line(1))
+            await writer.drain()
+            eof = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            after = await _raw_roundtrip(host, port, [_line(2)])
+            return eof, after
+
+        with activate(plan, seed=0):
+            server, (eof, after) = run_net(service, NetConfig(), scenario)
+        assert eof == b""  # the torn connection's line died with it
+        assert [(r["id"], r["status"]) for r in after] == [(2, STATUS_OK)]
+        assert server.stats.read_errors == 1
+
 
 # ----------------------------------------------------------------------
 # deadlines and shedding
