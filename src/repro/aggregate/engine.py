@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..faults import (
     InjectedWorkerCrash,
@@ -35,7 +35,13 @@ from ..faults import (
     fault_point,
     run_with_retry,
 )
-from ..store import CodecError, StoreError
+from ..store import ArtifactNotFoundError, CodecError, StoreError
+from ..telemetry.events import (
+    AggregateIssuedEvent,
+    AggregateMergedEvent,
+    AggregatePartialEvent,
+    Category,
+)
 from .compute import session_partial
 from .partial import PartialFormatError, PartialMergeError, empty_partial, partial_from_dict
 from .request import AGGREGATE_SCHEMA, AggregateRequest
@@ -106,30 +112,42 @@ def _session_digest(record: "SessionRecord") -> Optional[str]:
     return digest or None
 
 
-def _memo_ref(digest: str, request: AggregateRequest) -> str:
-    return f"{digest[:16]}-{request.cache_token()[:16]}"
+def _request_token(request: AggregateRequest) -> str:
+    """The request half of a memo ref name (computed once per aggregate)."""
+    return request.cache_token()[:16]
+
+
+def _memo_ref(digest: str, token: str) -> str:
+    return f"{digest[:16]}-{token}"
 
 
 def _probe_memo(
-    service: "ProfilingService", request: AggregateRequest, names: List[str]
+    service: "ProfilingService", token: str, names: List[str]
 ) -> Tuple[Dict[str, Any], List[str]]:
-    """Load memoized partials; return (hits, still-to-compute)."""
+    """Load memoized partials; return (hits, still-to-compute).
+
+    Per keyed session: one ref read, then :meth:`ArtifactStore.get`
+    (manifest and object reads, SHA-256 verified) — no existence stat,
+    because a missing object raises :class:`ArtifactNotFoundError`.
+    """
     hits: Dict[str, Any] = {}
     to_compute: List[str] = []
     store = service.store
-    if store is None:
-        return hits, list(names)
+    sessions = service.sessions
     for name in names:
-        digest = _session_digest(service.sessions[name])
+        digest = _session_digest(sessions[name])
         if digest is None:
             to_compute.append(name)
             continue
-        memo_digest = store.get_ref(AGGREGATE_REF_NAMESPACE, _memo_ref(digest, request))
-        if memo_digest is None or not store.has(memo_digest):
+        memo_digest = store.get_ref(AGGREGATE_REF_NAMESPACE, _memo_ref(digest, token))
+        if memo_digest is None:
             to_compute.append(name)
             continue
         try:
             partial = partial_from_dict(store.get(memo_digest))
+        except ArtifactNotFoundError:
+            to_compute.append(name)  # dangling ref: nothing to evict
+            continue
         except (StoreError, CodecError, PartialFormatError, OSError):
             # A corrupt memo degrades to a recompute, never an abort.
             store.evict(memo_digest)
@@ -143,25 +161,18 @@ def _probe_memo(
 
 
 def _memoize(
-    service: "ProfilingService",
-    request: AggregateRequest,
-    name: str,
-    partial: Any,
+    service: "ProfilingService", token: str, name: str, partial: Any
 ) -> None:
     """Best-effort memo write (an optimisation, never a failure)."""
     store = service.store
-    if store is None:
-        return
     digest = _session_digest(service.sessions[name])
     if digest is None:
         return
     try:
         info = store.put(
-            partial.to_dict(),
-            "json",
-            meta={"session": name, "request": request.cache_token()[:16]},
+            partial.to_dict(), "json", meta={"session": name, "request": token}
         )
-        store.set_ref(AGGREGATE_REF_NAMESPACE, _memo_ref(digest, request), info.digest)
+        store.set_ref(AGGREGATE_REF_NAMESPACE, _memo_ref(digest, token), info.digest)
     except (StoreError, OSError):
         pass
 
@@ -171,8 +182,12 @@ def _compute(
     request: AggregateRequest,
     names: List[str],
     scatter: _Scatter,
+    token: Optional[str],
 ) -> None:
-    """The scatter: one retried in-process dispatch per session."""
+    """The scatter: one retried in-process dispatch per session.
+
+    ``token`` is the request's memo token (None: no store, no memo).
+    """
     for name in names:
         record = service.sessions[name]
 
@@ -189,7 +204,8 @@ def _compute(
             continue
         scatter.partials[name] = partial
         scatter.computed += 1
-        _memoize(service, request, name, partial)
+        if token is not None:
+            _memoize(service, token, name, partial)
 
 
 def _gather(
@@ -229,16 +245,21 @@ def run_aggregate(
     _publish_issued(service, request, len(names))
 
     scatter = _Scatter()
-    hits, to_compute = _probe_memo(service, request, names)
+    token = _request_token(request) if service.store is not None else None
+    if token is None:
+        hits, to_compute = {}, names
+    else:
+        hits, to_compute = _probe_memo(service, token, names)
     scatter.partials.update(hits)
     scatter.memoized = len(hits)
-    for name in hits:
-        _publish_partial(service, name, memoized=True)
+    _publish_partials(service, hits, memoized=True)
 
-    _compute(service, request, to_compute, scatter)
-    for name in to_compute:
-        if name in scatter.partials:
-            _publish_partial(service, name, memoized=False)
+    _compute(service, request, to_compute, scatter, token)
+    _publish_partials(
+        service,
+        [name for name in to_compute if name in scatter.partials],
+        memoized=False,
+    )
 
     merged, included = _gather(request, scatter)
     payload: Dict[str, Any] = {
@@ -267,14 +288,18 @@ def run_aggregate(
 # ----------------------------------------------------------------------
 # telemetry
 # ----------------------------------------------------------------------
+# Gated like the kernel's dispatch events: with no AGGREGATE subscriber
+# no event object is built, and ``tick`` keeps the category counter exact.
 def _publish_issued(
     service: "ProfilingService", request: AggregateRequest, selected: int
 ) -> None:
-    if service.bus is None:
+    bus = service.bus
+    if bus is None:
         return
-    from ..telemetry import AggregateIssuedEvent
-
-    service.bus.publish(
+    if not bus.wants(Category.AGGREGATE):
+        bus.tick(Category.AGGREGATE, 0.0)
+        return
+    bus.publish(
         AggregateIssuedEvent(
             time=0.0,
             backend=request.backend,
@@ -285,16 +310,20 @@ def _publish_issued(
     )
 
 
-def _publish_partial(
-    service: "ProfilingService", session: str, memoized: bool
+def _publish_partials(
+    service: "ProfilingService", sessions: Iterable[str], memoized: bool
 ) -> None:
-    if service.bus is None:
+    bus = service.bus
+    if bus is None:
         return
-    from ..telemetry import AggregatePartialEvent
-
-    service.bus.publish(
-        AggregatePartialEvent(time=0.0, session=session, memoized=memoized)
-    )
+    if not bus.wants(Category.AGGREGATE):
+        for _ in sessions:
+            bus.tick(Category.AGGREGATE, 0.0)
+        return
+    for session in sessions:
+        bus.publish(
+            AggregatePartialEvent(time=0.0, session=session, memoized=memoized)
+        )
 
 
 def _publish_merged(
@@ -303,11 +332,13 @@ def _publish_merged(
     merged: int,
     missing: int,
 ) -> None:
-    if service.bus is None:
+    bus = service.bus
+    if bus is None:
         return
-    from ..telemetry import AggregateMergedEvent
-
-    service.bus.publish(
+    if not bus.wants(Category.AGGREGATE):
+        bus.tick(Category.AGGREGATE, 0.0)
+        return
+    bus.publish(
         AggregateMergedEvent(
             time=0.0,
             op=request.op,

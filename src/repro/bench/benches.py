@@ -553,32 +553,43 @@ def bench_serve_cold_ingest(repeats: int) -> BenchMeasurement:
     )
 
 
-def _build_aggregate_fleet(sessions: int = 8):
-    """A deterministic multi-session fleet for aggregation benchmarks."""
+def _build_aggregate_fleet(sessions: int = 8, config=None, lap_s: float = 0.0):
+    """A deterministic multi-session fleet for aggregation benchmarks.
+
+    Sessions cycle through the attack workloads; each further lap runs
+    ``lap_s`` seconds longer, so with ``lap_s > 0`` every session has
+    its own content (memoized partials are keyed on content).
+    """
     from ..offline import capture_trace
     from ..serve import ProfilingService, ServiceConfig
     from ..workloads import ALL_ATTACKS
 
     names = sorted(ALL_ATTACKS)
-    service = ProfilingService(ServiceConfig(telemetry=False))
+    service = ProfilingService(config or ServiceConfig(telemetry=False))
     for index in range(sessions):
-        run = ALL_ATTACKS[names[index % len(names)]](30.0)
+        lap, slot = divmod(index, len(names))
+        run = ALL_ATTACKS[names[slot]](30.0 + lap * lap_s)
         service.ingest_trace(
             f"fleet-{index:02d}", capture_trace(run.system, run.eandroid), "bench"
         )
     return service
 
 
-def bench_aggregate_scatter(repeats: int) -> BenchMeasurement:
-    """Full scatter-gather aggregates over an 8-session fleet (no memo)."""
+def _aggregate_requests():
+    """The request shapes both fleet-aggregate benchmarks answer."""
     from ..aggregate import AggregateRequest
 
-    service = _build_aggregate_fleet()
-    requests = [
+    return [
         AggregateRequest(backend="eandroid", op="sum", group_by="owner"),
         AggregateRequest(backend="eandroid", op="topk", group_by="category", k=5),
         AggregateRequest(backend="energy", op="mean", group_by="mechanism"),
     ]
+
+
+def bench_aggregate_scatter(repeats: int) -> BenchMeasurement:
+    """Full scatter-gather aggregates over an 8-session fleet (no memo)."""
+    service = _build_aggregate_fleet()
+    requests = _aggregate_requests()
     times: List[float] = []
     answered = 0
     for _ in range(repeats):
@@ -594,6 +605,47 @@ def bench_aggregate_scatter(repeats: int) -> BenchMeasurement:
             "sessions": len(service.sessions),
             "answered": answered,
             "partials_per_s": per_session / median if median > 0 else float("inf"),
+        },
+    )
+
+
+def bench_aggregate_memoized(repeats: int) -> BenchMeasurement:
+    """Fully memoized aggregates on a restored 16-session fleet.
+
+    The fleet is spilled to a temporary store, every request's partials
+    are memoized, and the service is rebuilt with ``restore_sessions()``
+    as a restart would.  Each timed repeat answers the requests from
+    the store memo alone (ref, manifest and verified object reads, then
+    the gather), so this is the store's read path, not the analyzer.
+    """
+    import tempfile
+
+    from ..serve import ProfilingService, ServiceConfig
+
+    requests = _aggregate_requests()
+    times: List[float] = []
+    with tempfile.TemporaryDirectory(prefix="repro-bench-memo-") as tmp:
+        config = ServiceConfig(telemetry=False, store_dir=tmp, spill=True)
+        fleet = _build_aggregate_fleet(16, config, lap_s=10.0)
+        for request in requests:
+            fleet.aggregate(request)
+        service = ProfilingService(config)
+        sessions = len(service.restore_sessions())
+        for _ in range(repeats):
+            started = time.perf_counter()
+            responses = [service.aggregate(request) for request in requests]
+            times.append(time.perf_counter() - started)
+            if any(r.computed or r.memoized != sessions for r in responses):
+                raise RuntimeError("aggregate_memoized: a memo probe missed")
+    median = sorted(times)[len(times) // 2]
+    return BenchMeasurement(
+        times_s=times,
+        metrics={
+            "requests": len(requests),
+            "sessions": sessions,
+            "memoized_partials_per_s": (
+                len(requests) * sessions / median if median > 0 else float("inf")
+            ),
         },
     )
 
@@ -759,6 +811,12 @@ for _order, _spec in enumerate(
             runner=bench_aggregate_scatter,
             kind="macro",
             description="scatter-gather fleet aggregates, 8-session fleet",
+        ),
+        BenchSpec(
+            name="aggregate_memoized",
+            runner=bench_aggregate_memoized,
+            kind="macro",
+            description="memo-hit fleet aggregates, restored 16-session store",
         ),
         BenchSpec(
             name="aggregate_merge",

@@ -166,14 +166,18 @@ class QueryResponse:
 def parse_queries_jsonl(lines: Iterable[str]) -> List[QueryRequest]:
     """Parse a JSONL query stream (blank lines and ``#`` comments skip).
 
-    Queries without an explicit ``id`` get their (1-based) line sequence
-    number, so responses stay matchable even for anonymous streams.
+    Queries without an explicit ``id`` get their (1-based) request
+    sequence number — blank and comment lines are not counted, as on the
+    daemon and TCP transports — so responses stay matchable even for
+    anonymous streams.  Parse errors name the physical line.
     """
     queries: List[QueryRequest] = []
+    seq = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        seq += 1
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -184,7 +188,7 @@ def parse_queries_jsonl(lines: Iterable[str]) -> List[QueryRequest]:
                 f"got {type(data).__name__}"
             )
         try:
-            queries.append(QueryRequest.from_dict(data, default_id=lineno))
+            queries.append(QueryRequest.from_dict(data, default_id=seq))
         except (ProtocolError, KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"line {lineno}: {exc}") from exc
     return queries

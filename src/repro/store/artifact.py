@@ -139,7 +139,7 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fsync_dir(directory: Path) -> None:
+def _fsync_dir(directory: str) -> None:
     """Flush a directory entry (rename durability); no-op where unsupported."""
     try:
         fd = os.open(directory, os.O_RDONLY)
@@ -158,22 +158,34 @@ class ArtifactStore:
 
     def __init__(self, directory: Optional[PathLike] = None) -> None:
         self.directory = Path(directory) if directory else default_store_dir()
+        # The read/write path formats plain strings under this root:
+        # pathlib's parsing on every ``/`` is most of a memo probe's cost.
+        self._root = str(self.directory)
         self._bus = None  # lazily created so capture() can hook it
 
     # ------------------------------------------------------------------
     # paths
     # ------------------------------------------------------------------
+    def _object_file(self, digest: str) -> str:
+        return f"{self._root}/objects/{digest[:2]}/{digest}"
+
+    def _meta_file(self, digest: str) -> str:
+        return f"{self._root}/meta/{digest}.json"
+
+    def _ref_file(self, namespace: str, name: str) -> str:
+        return f"{self._root}/refs/{namespace}/{quote(name, safe='')}.json"
+
     def object_path(self, digest: str) -> Path:
         """Where a digest's blob lives."""
-        return self.directory / "objects" / digest[:2] / digest
+        return Path(self._object_file(digest))
 
     def meta_path(self, digest: str) -> Path:
         """Where a digest's manifest lives."""
-        return self.directory / "meta" / f"{digest}.json"
+        return Path(self._meta_file(digest))
 
     def ref_path(self, namespace: str, name: str) -> Path:
         """Where a named pointer lives (name percent-encoded)."""
-        return self.directory / "refs" / namespace / f"{quote(name, safe='')}.json"
+        return Path(self._ref_file(namespace, name))
 
     # ------------------------------------------------------------------
     # blobs
@@ -203,11 +215,11 @@ class ArtifactStore:
             created_at=time.time(),
             meta=dict(meta or {}),
         )
-        blob = self.object_path(digest)
-        if not blob.exists():
+        blob = self._object_file(digest)
+        if not os.path.exists(blob):
             self._atomic_write(blob, data, durable=durable)
-        manifest = self.meta_path(digest)
-        if not manifest.exists():
+        manifest = self._meta_file(digest)
+        if not os.path.exists(manifest):
             self._atomic_write(
                 manifest,
                 json.dumps(info.to_dict(), indent=2, sort_keys=True).encode("utf-8"),
@@ -246,12 +258,13 @@ class ArtifactStore:
 
     def has(self, digest: str) -> bool:
         """Whether a blob for ``digest`` exists."""
-        return self.object_path(digest).is_file()
+        return os.path.isfile(self._object_file(digest))
 
     def get_bytes(self, digest: str, verify: bool = True) -> bytes:
         """Read a blob back, verifying its content address by default."""
         try:
-            data = self.object_path(digest).read_bytes()
+            with open(self._object_file(digest), "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise ArtifactNotFoundError(digest) from exc
         data = filter_read("store.read", data)
@@ -264,7 +277,8 @@ class ArtifactStore:
     def info(self, digest: str) -> ArtifactInfo:
         """An artifact's manifest record."""
         try:
-            data = json.loads(self.meta_path(digest).read_text(encoding="utf-8"))
+            with open(self._meta_file(digest), "rb") as handle:
+                data = json.loads(handle.read())
         except OSError as exc:
             raise ArtifactNotFoundError(digest) from exc
         except (ValueError, KeyError) as exc:
@@ -300,7 +314,7 @@ class ArtifactStore:
         self, namespace: str, name: str, digest: str, durable: bool = False
     ) -> Path:
         """Point ``refs/<namespace>/<name>`` at ``digest``."""
-        path = self.ref_path(namespace, name)
+        path = self._ref_file(namespace, name)
         self._atomic_write(
             path,
             json.dumps(
@@ -308,14 +322,13 @@ class ArtifactStore:
             ).encode("utf-8"),
             durable=durable,
         )
-        return path
+        return Path(path)
 
     def get_ref(self, namespace: str, name: str) -> Optional[str]:
         """The digest a ref points at, or None (malformed counts as None)."""
         try:
-            data = json.loads(
-                self.ref_path(namespace, name).read_text(encoding="utf-8")
-            )
+            with open(self._ref_file(namespace, name), "rb") as handle:
+                data = json.loads(handle.read())
             return str(data["digest"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
@@ -423,21 +436,24 @@ class ArtifactStore:
     # internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _atomic_write(path: Path, data: bytes, durable: bool = False) -> None:
+    def _atomic_write(path: str, data: bytes, durable: bool = False) -> None:
         data = filter_write("store.write", data, durable=durable)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        if durable:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
+        tmp = path + ".tmp"
+        try:
+            handle = open(tmp, "wb")
+        except FileNotFoundError:
+            # First write into this directory: create it, then retry.
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            handle = open(tmp, "wb")
+        with handle:
+            handle.write(data)
+            if durable:
                 fault_point("store.fsync")
                 handle.flush()
                 os.fsync(handle.fileno())
-        else:
-            tmp.write_bytes(data)
-        tmp.replace(path)
+        os.replace(tmp, path)
         if durable:
-            _fsync_dir(path.parent)
+            _fsync_dir(os.path.dirname(path))
 
     def _publish_stored(self, info: ArtifactInfo) -> None:
         from ..telemetry import ArtifactStoredEvent, TelemetryBus

@@ -334,7 +334,7 @@ class TestMemoization:
     def test_corrupt_memo_degrades_to_recompute(
         self, tmp_path, scene_trace, attack_trace
     ):
-        from repro.aggregate.engine import _memo_ref
+        from repro.aggregate.engine import _memo_ref, _request_token
         from repro.aggregate import AGGREGATE_REF_NAMESPACE
 
         svc = self._service(tmp_path, scene_trace, attack_trace)
@@ -342,14 +342,56 @@ class TestMemoization:
         live = svc.aggregate(request)
         # Point one memo ref at garbage bytes.
         info = svc.store.put_bytes(b"garbage", kind="junk", codec="json", version=1)
-        svc.store.set_ref(
-            AGGREGATE_REF_NAMESPACE, _memo_ref("a" * 64, request), info.digest
-        )
+        ref = _memo_ref("a" * 64, _request_token(request))
+        svc.store.set_ref(AGGREGATE_REF_NAMESPACE, ref, info.digest)
         healed = svc.aggregate(request)
         assert (healed.computed, healed.memoized) == (1, 1)
         assert json.dumps(healed.payload, sort_keys=True) == json.dumps(
             live.payload, sort_keys=True
         )
+
+    def test_dangling_memo_ref_recomputes_without_eviction(
+        self, tmp_path, scene_trace, attack_trace, monkeypatch
+    ):
+        from repro.aggregate import AGGREGATE_REF_NAMESPACE
+        from repro.aggregate.engine import _memo_ref, _request_token
+
+        svc = self._service(tmp_path, scene_trace, attack_trace)
+        request = AggregateRequest(backend="eandroid")
+        live = svc.aggregate(request)
+        ref = _memo_ref("a" * 64, _request_token(request))
+        memo = svc.store.get_ref(AGGREGATE_REF_NAMESPACE, ref)
+        svc.store.object_path(memo).unlink()
+        evicted = []
+        monkeypatch.setattr(svc.store, "evict", evicted.append)
+        again = svc.aggregate(request)
+        assert (again.computed, again.memoized) == (1, 1)
+        assert evicted == []  # a missing object is a miss, not corruption
+        assert json.dumps(again.payload, sort_keys=True) == json.dumps(
+            live.payload, sort_keys=True
+        )
+        # The recompute re-memoized it: the next run is all hits.
+        assert svc.aggregate(request).memoized == 2
+
+    def test_restored_service_answers_from_the_memo(
+        self, tmp_path, scene_trace, attack_trace
+    ):
+        config = ServiceConfig(
+            telemetry=False, store_dir=str(tmp_path / "store"), spill=True
+        )
+        svc = ProfilingService(config)
+        svc.ingest_trace("r-a", scene_trace, "test")
+        svc.ingest_trace("r-b", attack_trace, "test")
+        request = AggregateRequest(backend="eandroid", op="topk", k=3)
+        live = svc.aggregate(request)
+        assert live.computed == 2
+
+        restored = ProfilingService(config)
+        assert restored.restore_sessions() == ["r-a", "r-b"]
+        for _ in range(2):
+            warm = restored.aggregate(request)
+            assert (warm.memoized, warm.computed) == (len(restored.sessions), 0)
+            assert json.dumps(warm.payload) == json.dumps(live.payload)
 
     def test_unkeyed_sessions_always_recompute(self, tmp_path, scene_trace):
         svc = ProfilingService(
@@ -387,6 +429,39 @@ class TestTelemetry:
         assert names == ["aggregate_issued", "aggregate_partial", "aggregate_merged"]
         merged = recorder.events[-1]
         assert merged.partial is False and merged.merged == 1
+
+
+    def test_unobserved_aggregate_builds_no_events(
+        self, scene_trace, attack_trace, monkeypatch
+    ):
+        from repro.aggregate import engine
+        from repro.telemetry import Category
+        from repro.telemetry.bus import TelemetryRecorder
+
+        def fleet():
+            svc = ProfilingService(ServiceConfig(telemetry=True))
+            svc.ingest_trace("t-a", scene_trace, "test")
+            svc.ingest_trace("t-b", attack_trace, "test")
+            return svc
+
+        observed = fleet()
+        recorder = TelemetryRecorder()
+        recorder.attach(observed.bus, categories=[Category.AGGREGATE])
+        observed.aggregate(AggregateRequest(backend="energy"))
+        assert len(recorder.events) == 4  # issued, 2 partials, merged
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("event built with no subscriber")
+
+        for event in ("Issued", "Partial", "Merged"):
+            monkeypatch.setattr(engine, f"Aggregate{event}Event", refuse)
+        quiet = fleet()
+        quiet.aggregate(AggregateRequest(backend="energy"))
+        assert (
+            quiet.bus.counters()[Category.AGGREGATE].count
+            == observed.bus.counters()[Category.AGGREGATE].count
+            == 4
+        )
 
 
 class TestCli:

@@ -281,7 +281,8 @@ class TestProtocol:
             json.dumps({"id": 9, "session": "b", "backend": "eandroid"}),
         ]
         queries = parse_queries_jsonl(lines)
-        assert [q.id for q in queries] == [3, 9]
+        # Blank and comment lines are not counted, as on the daemon/TCP.
+        assert [q.id for q in queries] == [1, 9]
 
     def test_expand_sessions_keeps_the_line_id(self):
         wildcard = QueryRequest(4, ALL_SESSIONS, ReportRequest("energy"))
@@ -315,6 +316,37 @@ class TestStdinDaemon:
             for line in capsys.readouterr().out.splitlines()
             if line.strip()
         ]
+
+    def test_default_ids_match_the_queries_path(
+        self, tmp_path, scene_trace, monkeypatch, capsys
+    ):
+        # Regression: `--queries` numbered id-less lines by physical line
+        # (comments and blanks included) while the daemon numbered
+        # request lines, so the same file answered under different ids.
+        from pathlib import Path
+
+        from repro.cli import main
+
+        examples = Path(__file__).resolve().parent.parent / "examples"
+        queries = examples / "queries.jsonl"
+        trace = tmp_path / "scene.json"
+        trace.write_text(scene_trace.to_json(), encoding="utf-8")
+        save = tmp_path / "out"
+        argv = ["serve", "--batch", str(trace), "--queries", str(queries)]
+        assert main(argv + ["--save", str(save)]) == 0
+        capsys.readouterr()
+        batch_ids = [
+            json.loads(line)["id"]
+            for line in (save / "responses.jsonl").read_text().splitlines()
+        ]
+        service = ProfilingService(ServiceConfig(telemetry=False))
+        service.ingest(trace)
+        lines = queries.read_text(encoding="utf-8").splitlines(keepends=True)
+        daemon_ids = [
+            r["id"] for r in self._run_daemon(service, lines, monkeypatch, capsys)
+        ]
+        assert batch_ids[0] == 1
+        assert daemon_ids == batch_ids
 
     def test_oversized_line_degrades_to_typed_error(
         self, service, monkeypatch, capsys

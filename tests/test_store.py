@@ -1,6 +1,7 @@
 """The artifact store: blobs, refs, gc, migrations, cache clients."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,93 @@ class TestRefs:
         assert any(bad.digest in p and "corrupt" in p for p in problems)
         assert any("dangling" in p for p in problems)
         assert not any(ok.digest in p for p in problems)
+
+
+# ----------------------------------------------------------------------
+# the on-disk layout
+# ----------------------------------------------------------------------
+class TestLayout:
+    """The string-built locations keep the layout ``pathlib`` wrote."""
+
+    DIGEST = content_digest(b'{"layout":1}')
+
+    def test_paths_match_the_pathlib_composition(self, tmp_path):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        digest = self.DIGEST
+        assert store.object_path(digest) == root / "objects" / digest[:2] / digest
+        assert store.meta_path(digest) == root / "meta" / f"{digest}.json"
+        assert store.ref_path("exec", "plain") == root / "refs" / "exec" / "plain.json"
+        name = "weird/name with spaces:1%"
+        assert (
+            store.ref_path("manual", name)
+            == root / "refs" / "manual" / "weird%2Fname%20with%20spaces%3A1%25.json"
+        )
+
+    def test_relative_root_matches_too(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = ArtifactStore("store")
+        digest = self.DIGEST
+        assert store.object_path(digest) == Path("store") / "objects" / digest[:2] / digest
+
+    def test_store_written_with_pathlib_reads_back(self, tmp_path):
+        # Lay a store out by hand, as the pathlib-built store wrote it.
+        root = tmp_path / "store"
+        data = b'{"layout":1}'
+        digest = content_digest(data)
+        blob = root / "objects" / digest[:2] / digest
+        blob.parent.mkdir(parents=True)
+        blob.write_bytes(data)
+        (root / "meta").mkdir()
+        (root / "meta" / f"{digest}.json").write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "digest": digest,
+                    "kind": "document",
+                    "codec": "json",
+                    "version": 1,
+                    "size": len(data),
+                    "created_at": 0.0,
+                    "meta": {"origin": "pathlib"},
+                }
+            ),
+            encoding="utf-8",
+        )
+        ref = root / "refs" / "manual" / "a%2Fb.json"
+        ref.parent.mkdir(parents=True)
+        ref.write_text(json.dumps({"digest": digest}), encoding="utf-8")
+
+        store = ArtifactStore(root)
+        assert store.has(digest)
+        assert store.get(digest) == {"layout": 1}
+        assert store.info(digest).meta == {"origin": "pathlib"}
+        assert store.get_ref("manual", "a/b") == digest
+        assert store.refs() == {("manual", "a/b"): digest}
+        assert store.verify() == []
+
+    def test_writes_create_parents_lazily(self, tmp_path):
+        root = tmp_path / "fresh" / "store"
+        store = ArtifactStore(root)
+        assert not root.exists()
+        info = store.put({"a": 1}, "json")
+        assert store.object_path(info.digest).is_file()
+        assert store.meta_path(info.digest).is_file()
+        store.set_ref("first-space", "one", info.digest)
+        store.set_ref("second-space", "two", info.digest)
+        assert store.refs() == {
+            ("first-space", "one"): info.digest,
+            ("second-space", "two"): info.digest,
+        }
+        # No temporary file is left behind by any of the writes.
+        assert not [p for p in root.rglob("*.tmp")]
+
+    def test_durable_writes_create_parents_lazily(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        info = store.put({"a": 1}, "json", durable=True)
+        store.set_ref("durable", "x", info.digest, durable=True)
+        assert store.get_ref("durable", "x") == info.digest
+        assert store.get(info.digest) == {"a": 1}
 
 
 # ----------------------------------------------------------------------
