@@ -154,8 +154,11 @@ def _probe_memo(
             to_compute.append(name)
             continue
         if name not in partial.sessions:
-            to_compute.append(name)  # memo for some other session shape
-            continue
+            if len(partial.sessions) != 1:
+                to_compute.append(name)  # memo for some other session shape
+                continue
+            # Memoized for another session with the same content.
+            partial = partial.rebind(name)
         hits[name] = partial
     return hits, to_compute
 

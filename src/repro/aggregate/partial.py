@@ -24,7 +24,7 @@ are integers, where addition is associative already.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,6 +65,21 @@ class GroupedPartial:
         """One session's contribution: its per-group values."""
         return cls(
             groups={group: {session: float(value)} for group, value in values.items()},
+            sessions=frozenset([session]),
+        )
+
+    def rebind(self, session: str) -> "GroupedPartial":
+        """This one-session partial, charged to ``session`` instead.
+
+        A session's values depend only on its content, so the memoized
+        partial of one session answers for another with equal content.
+        """
+        (old,) = _single_session(self)
+        return GroupedPartial(
+            groups={
+                group: {session: per_session[old]}
+                for group, per_session in self.groups.items()
+            },
             sessions=frozenset([session]),
         )
 
@@ -189,6 +204,11 @@ class HistogramPartial:
             samples=len(values),
         )
 
+    def rebind(self, session: str) -> "HistogramPartial":
+        """This one-session partial, charged to ``session`` instead."""
+        _single_session(self)
+        return replace(self, sessions=frozenset([session]))
+
     def merge(self, other: "HistogramPartial") -> "HistogramPartial":
         """Element-wise addition (pure; associative and commutative)."""
         if not isinstance(other, HistogramPartial):
@@ -235,6 +255,15 @@ class HistogramPartial:
             "bin_width": self.bin_width,
             "samples": self.samples,
         }
+
+
+def _single_session(partial) -> frozenset:
+    if len(partial.sessions) != 1:
+        raise PartialMergeError(
+            f"only a one-session partial can be rebound, not one of "
+            f"{len(partial.sessions)} session(s)"
+        )
+    return partial.sessions
 
 
 def empty_partial(request: "AggregateRequest"):

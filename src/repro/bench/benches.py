@@ -242,6 +242,41 @@ def bench_eandroid_hook(repeats: int) -> BenchMeasurement:
     )
 
 
+def bench_offline_reports(repeats: int) -> BenchMeasurement:
+    """The offline analyzer: all five report backends over one trace.
+
+    The trace is captured once from the ``eandroid_hook`` scenario (800
+    generated ops, E-Android attached).  Each repeat builds a fresh
+    :class:`~repro.offline.OfflineAnalyzer` over it and renders every
+    backend's ``repro.report/1`` payload, as a cold served query does.
+    """
+    from ..check.generator import generate_scenario
+    from ..check.runner import ScenarioExecutor
+    from ..offline import OfflineAnalyzer, capture_trace
+    from ..reports.request import BACKENDS, ReportRequest
+
+    executor = ScenarioExecutor(generate_scenario(1600, ops=800))
+    executor.run()
+    trace = capture_trace(executor.system, executor.ea)
+    requests = [ReportRequest(backend=backend) for backend in BACKENDS]
+    times: List[float] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        analyzer = OfflineAnalyzer(trace)
+        for request in requests:
+            analyzer.describe(request).to_dict()
+        times.append(time.perf_counter() - started)
+    median = sorted(times)[len(times) // 2]
+    return BenchMeasurement(
+        times_s=times,
+        metrics={
+            "backends": len(requests),
+            "links": len(trace.links),
+            "reports_per_s": len(requests) / median if median > 0 else float("inf"),
+        },
+    )
+
+
 def _build_serve_service():
     """One in-process query service over a captured attack trace."""
     from ..offline import capture_trace
@@ -763,6 +798,12 @@ for _order, _spec in enumerate(
             runner=bench_eandroid_hook,
             kind="macro",
             description="800-op scenario attached vs detached (Table I hook cost)",
+        ),
+        BenchSpec(
+            name="offline_reports",
+            runner=bench_offline_reports,
+            kind="macro",
+            description="all five offline report backends, 800-op trace",
         ),
         BenchSpec(
             name="serve_throughput",

@@ -11,6 +11,7 @@ open and close collateral windows.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Tuple
 
 from ..sim.rng import SeededRng
@@ -52,6 +53,10 @@ _OP_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("move_task_front", 1.0),
 )
 
+#: op kinds and their running weight totals, for ``cumulative_choice``
+KINDS: Tuple[str, ...] = tuple(kind for kind, _ in _OP_WEIGHTS)
+CUM_WEIGHTS: Tuple[float, ...] = tuple(accumulate(w for _, w in _OP_WEIGHTS))
+
 
 def fuzz_packages(count: int) -> Tuple[str, ...]:
     """The synthetic app graph's package names."""
@@ -60,9 +65,7 @@ def fuzz_packages(count: int) -> Tuple[str, ...]:
 
 
 def _draw_op(rng: SeededRng, packages: Tuple[str, ...]) -> Op:
-    kinds = [kind for kind, _ in _OP_WEIGHTS]
-    weights = [weight for _, weight in _OP_WEIGHTS]
-    kind = rng.weighted_choice(kinds, weights)
+    kind = rng.cumulative_choice(KINDS, CUM_WEIGHTS)
     if kind in ("launch", "force_stop"):
         return Op(kind, {"package": rng.choice(packages)})
     if kind in ("start_activity", "start_service", "stop_service",

@@ -17,12 +17,13 @@ portable record — the "offline analysis" form of the paper's system.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..accounting.base import AppEnergyEntry, ProfilerReport
 from ..power.meter import SCREEN_OWNER, SYSTEM_OWNER
 from ..power.trace import PowerTrace
-from .trace import DeviceTrace, LinkRecord
+from .trace import DeviceTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reports.request import ReportRequest
@@ -42,6 +43,10 @@ class OfflineAnalyzer:
             for t, mw in channel.breakpoints:
                 power_trace.append(t, mw)
             self._channels[(channel.owner, channel.component)] = power_trace
+        # owner -> its channels, in the order energy_j(owner=None) sums them
+        self._by_owner: Dict[int, List[PowerTrace]] = {}
+        for (owner, _), power_trace in self._channels.items():
+            self._by_owner.setdefault(owner, []).append(power_trace)
 
     # ------------------------------------------------------------------
     # primitive energy queries
@@ -54,11 +59,10 @@ class OfflineAnalyzer:
     ) -> float:
         """Energy over a window, optionally for one owner."""
         window_end = self.trace.captured_at if end is None else end
-        return sum(
-            channel.energy_j(start, window_end)
-            for (channel_owner, _), channel in self._channels.items()
-            if owner is None or channel_owner == owner
+        channels = (
+            self._channels.values() if owner is None else self._by_owner.get(owner, ())
         )
+        return sum(channel.energy_j(start, window_end) for channel in channels)
 
     def owners(self) -> Set[int]:
         """Every owner appearing in the trace."""
@@ -181,13 +185,22 @@ class OfflineAnalyzer:
         """host -> target -> merged charge windows, from the link log.
 
         Reconstructs per-(host, target) windows by reachability over the
-        link set sampled at every link boundary — the offline equivalent
-        of the live map-set sync.
+        link set live at the midpoint of every segment between link
+        boundaries — the offline equivalent of the live map-set sync.
+        One sweep: link indices sorted by begin and by end advance a
+        live set with the midpoints (which never decrease, so a link
+        enters and leaves the set at most once), and reachability is
+        recomputed only at segments where that set changed.  Each host's reach is a walk
+        over a per-driver adjacency of the live links in trace order, so
+        target sets (and the dict order they give the result) match a
+        walk over the whole live list.  A run of segments in which a
+        host reaches a target becomes one window.
         """
+        links = self.trace.links
         boundaries = sorted(
             {start, end}
-            | {l.begin_time for l in self.trace.links}
-            | {l.end_time for l in self.trace.links if l.end_time is not None}
+            | {l.begin_time for l in links}
+            | {l.end_time for l in links if l.end_time is not None}
         )
         boundaries = [b for b in boundaries if start <= b <= end]
         if not boundaries or boundaries[0] > start:
@@ -195,68 +208,93 @@ class OfflineAnalyzer:
         if boundaries[-1] < end:
             boundaries.append(end)
         windows: Dict[int, Dict[int, List[Tuple[float, float]]]] = {}
-        hosts = {l.driving_uid for l in self.trace.links}
+        hosts = {l.driving_uid for l in links}
+        begins = sorted((l.begin_time, i) for i, l in enumerate(links))
+        ends = sorted(
+            (l.end_time, i) for i, l in enumerate(links) if l.end_time is not None
+        )
+        next_begin = next_end = 0
+        live = [False] * len(links)
+        # driver -> (link index, target) of its live links, in trace order
+        out_edges: Dict[int, List[Tuple[int, int]]] = {}
+        # host -> target -> start of the window still open
+        runs: Dict[int, Dict[int, float]] = {}
         for seg_start, seg_end in zip(boundaries, boundaries[1:]):
-            if seg_end <= seg_start:
-                continue
             midpoint = (seg_start + seg_end) / 2.0
-            live = [
-                l
-                for l in self.trace.links
-                if l.begin_time <= midpoint
-                and (l.end_time is None or l.end_time > midpoint)
-            ]
-            for host in hosts:
-                for target in self._reachable(host, live):
-                    target_windows = windows.setdefault(host, {}).setdefault(
-                        target, []
+            changed = False
+            while next_begin < len(begins) and begins[next_begin][0] <= midpoint:
+                index = begins[next_begin][1]
+                next_begin += 1
+                link = links[index]
+                if link.end_time is None or link.end_time > midpoint:
+                    live[index] = True
+                    insort(
+                        out_edges.setdefault(link.driving_uid, []),
+                        (index, link.target),
                     )
-                    if target_windows and target_windows[-1][1] == seg_start:
-                        target_windows[-1] = (target_windows[-1][0], seg_end)
-                    else:
-                        target_windows.append((seg_start, seg_end))
+                    changed = True
+            while next_end < len(ends) and ends[next_end][0] <= midpoint:
+                index = ends[next_end][1]
+                next_end += 1
+                if live[index]:
+                    live[index] = False
+                    link = links[index]
+                    edges = out_edges[link.driving_uid]
+                    edges.remove((index, link.target))
+                    if not edges:
+                        del out_edges[link.driving_uid]
+                    changed = True
+            if not changed:
+                continue
+            for host in hosts:
+                host_runs = runs.get(host)
+                if host not in out_edges and not host_runs:
+                    continue
+                reached: Set[int] = set()
+                frontier = [host]
+                while frontier:
+                    for _, target in out_edges.get(frontier.pop(), ()):
+                        if target == host or target in reached:
+                            continue
+                        reached.add(target)
+                        if target != SCREEN_TARGET:
+                            frontier.append(target)
+                if host_runs:
+                    for target in [t for t in host_runs if t not in reached]:
+                        windows[host][target].append(
+                            (host_runs.pop(target), seg_start)
+                        )
+                for target in reached:
+                    if host_runs is None:
+                        host_runs = runs[host] = {}
+                    if target not in host_runs:
+                        windows.setdefault(host, {}).setdefault(target, [])
+                        host_runs[target] = seg_start
+        for host, host_runs in runs.items():
+            for target, run_start in host_runs.items():
+                windows[host][target].append((run_start, boundaries[-1]))
         return windows
 
-    @staticmethod
-    def _reachable(host: int, live: List[LinkRecord]) -> Set[int]:
-        reached: Set[int] = set()
-        frontier = [host]
-        seen = {host}
-        while frontier:
-            node = frontier.pop()
-            for link in live:
-                if link.driving_uid != node:
-                    continue
-                target = link.target
-                if target == host or target in reached:
-                    continue
-                reached.add(target)
-                if target not in seen and target != SCREEN_TARGET:
-                    seen.add(target)
-                    frontier.append(target)
-        return reached
+    def _breakdown(
+        self, host_windows: Dict[int, List[Tuple[float, float]]]
+    ) -> Dict[int, float]:
+        """target -> joules over one host's charge windows."""
+        breakdown: Dict[int, float] = {}
+        for target, intervals in host_windows.items():
+            owner = SCREEN_OWNER if target == SCREEN_TARGET else target
+            total = sum(
+                self.energy_j(owner=owner, start=s, end=e) for s, e in intervals
+            )
+            if total > 0:
+                breakdown[target] = total
+        return breakdown
 
     def collateral_breakdown(
         self, host: int, start: float = 0.0, end: Optional[float] = None
     ) -> Dict[int, float]:
         """target -> joules charged to ``host``, from the trace alone."""
         window_end = self.trace.captured_at if end is None else end
-        windows = self._link_windows(start, window_end).get(host, {})
-        breakdown: Dict[int, float] = {}
-        for target, intervals in windows.items():
-            if target == SCREEN_TARGET:
-                total = sum(
-                    self.energy_j(owner=SCREEN_OWNER, start=s, end=e)
-                    for s, e in intervals
-                )
-            else:
-                total = sum(
-                    self.energy_j(owner=target, start=s, end=e)
-                    for s, e in intervals
-                )
-            if total > 0:
-                breakdown[target] = total
-        return breakdown
+        return self._breakdown(self._link_windows(start, window_end).get(host, {}))
 
     def eandroid_report(
         self, start: float = 0.0, end: Optional[float] = None
@@ -265,8 +303,9 @@ class OfflineAnalyzer:
         window_end = self.trace.captured_at if end is None else end
         report = self.batterystats_report(start, window_end)
         report.profiler = "E-Android (offline)"
+        windows = self._link_windows(start, window_end)
         for host in sorted({l.driving_uid for l in self.trace.links}):
-            breakdown = self.collateral_breakdown(host, start, window_end)
+            breakdown = self._breakdown(windows.get(host, {}))
             if not breakdown:
                 continue
             entry = report.entry_for_uid(host)
@@ -350,8 +389,9 @@ class OfflineAnalyzer:
         if hosts is not None:
             wanted = set(hosts)
             all_hosts = [h for h in all_hosts if h in wanted]
+        windows = self._link_windows(start, window_end)
         for host in all_hosts:
-            breakdown = self.collateral_breakdown(host, start, window_end)
+            breakdown = self._breakdown(windows.get(host, {}))
             if not breakdown:
                 continue
             entry = AppEnergyEntry(

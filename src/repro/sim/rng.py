@@ -82,3 +82,14 @@ class SeededRng:
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Choice weighted by ``weights`` (need not be normalised)."""
         return self._random.choices(list(items), weights=list(weights), k=1)[0]
+
+    def cumulative_choice(
+        self, items: Sequence[T], cum_weights: Sequence[float]
+    ) -> T:
+        """Choice by precomputed cumulative weights.
+
+        Draws exactly as :meth:`weighted_choice` does with the weights
+        ``cum_weights`` accumulates (same RNG stream, same pick), without
+        re-accumulating them on every call.
+        """
+        return self._random.choices(items, cum_weights=cum_weights, k=1)[0]

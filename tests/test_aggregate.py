@@ -160,6 +160,14 @@ class TestGroupedPartial:
         with pytest.raises(PartialMergeError, match="s1"):
             a.merge(GroupedPartial.for_session("s1", {"g": 2.0}))
 
+    def test_rebind_renames_the_one_session(self):
+        a = GroupedPartial.for_session("s1", {"g1": 1.0, "g2": 2.5})
+        rebound = a.rebind("s9")
+        assert rebound == GroupedPartial.for_session("s9", {"g1": 1.0, "g2": 2.5})
+        assert a.sessions == frozenset({"s1"})  # pure
+        with pytest.raises(PartialMergeError):
+            a.merge(GroupedPartial.for_session("s2", {"g": 1.0})).rebind("s3")
+
     def test_merge_rejects_kind_mismatch(self):
         a = GroupedPartial.for_session("s1", {"g": 1.0})
         b = HistogramPartial.for_session("s2", {"g": 1.0}, bins=4, bin_width=1.0)
@@ -207,6 +215,14 @@ class TestHistogramPartial:
         )
         assert partial.counts == (1, 1, 0, 1)
         assert partial.samples == 3
+
+    def test_rebind_renames_the_one_session(self):
+        a = HistogramPartial.for_session("s1", {"g": 1.5}, bins=3, bin_width=1.0)
+        assert a.rebind("s9") == HistogramPartial.for_session(
+            "s9", {"g": 1.5}, bins=3, bin_width=1.0
+        )
+        with pytest.raises(PartialMergeError):
+            HistogramPartial().rebind("s9")
 
     def test_merge_adds_counts(self):
         a = HistogramPartial.for_session("s1", {"g": 0.5}, bins=3, bin_width=1.0)
@@ -392,6 +408,41 @@ class TestMemoization:
             warm = restored.aggregate(request)
             assert (warm.memoized, warm.computed) == (len(restored.sessions), 0)
             assert json.dumps(warm.payload) == json.dumps(live.payload)
+
+    @pytest.mark.parametrize("op", ["sum", "histogram"])
+    def test_sessions_with_equal_content_share_the_memo(self, tmp_path, op):
+        from repro.check.generator import generate_scenario
+        from repro.check.runner import ScenarioExecutor
+
+        traces = []
+        for seed in range(12):
+            executor = ScenarioExecutor(generate_scenario(seed, ops=20))
+            executor.run()
+            traces.append(capture_trace(executor.system, executor.ea))
+        request = AggregateRequest(backend="eandroid", op=op)
+
+        def fleet_of(config):
+            svc = ProfilingService(config)
+            for index in range(48):
+                svc.ingest_trace(f"dup-{index:02d}", traces[index % 12], "test")
+            return svc
+
+        plain = fleet_of(ServiceConfig(telemetry=False)).aggregate(request)
+        config = ServiceConfig(
+            telemetry=False, store_dir=str(tmp_path / "store"), spill=True
+        )
+        svc = fleet_of(config)
+        assert len({r.content_digest for r in svc.sessions.values()}) == 12
+        first = svc.aggregate(request)
+        assert (first.memoized, first.computed) == (0, 48)
+        second = svc.aggregate(request)
+        assert (second.memoized, second.computed) == (48, 0)
+        restored = ProfilingService(config)
+        assert len(restored.restore_sessions()) == 48
+        third = restored.aggregate(request)
+        assert (third.memoized, third.computed) == (48, 0)
+        for response in (first, second, third):
+            assert json.dumps(response.payload) == json.dumps(plain.payload)
 
     def test_unkeyed_sessions_always_recompute(self, tmp_path, scene_trace):
         svc = ProfilingService(

@@ -9,6 +9,7 @@ reduces the failing scenario to a handful of ops, and the corpus entry
 it writes replays.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,25 @@ class TestScenarioScripts:
         b = generate_scenario(1234, ops=40)
         assert a == b
         assert generate_scenario(1235, ops=40) != a
+
+    @pytest.mark.parametrize(
+        "seed,ops,packages,length,digest",
+        [
+            (1, 40, 3, 49,
+             "ffe2ee37bc7ea014537a3e747fc8d4497e6427cdbed89b82bd4d3fd351a931a3"),
+            (7, 200, 5, 210,
+             "2e38fde432e91535abe602a00816ee1930167243782e02250bbf11645b7cd51f"),
+            (1600, 800, 3, 805,
+             "58e0c8090440f22f8697726b52a0cc3aa54274ce01e098734657e410ef858826"),
+        ],
+    )
+    def test_generated_scripts_are_pinned(self, seed, ops, packages, length, digest):
+        # SHA-256 of the script JSON; a change to how ops are drawn that
+        # moves the RNG stream shows up here.
+        scenario = generate_scenario(seed, ops=ops, packages=packages)
+        assert len(scenario.ops) == length
+        text = scenario.to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_generated_ops_are_valid_kinds(self):
         scenario = generate_scenario(99, ops=40)

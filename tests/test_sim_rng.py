@@ -78,3 +78,18 @@ class TestDeriveSeed:
     def test_label_separator_prevents_collisions(self):
         # ("1", "2x") must not collide with ("12", "x")-style prefixes.
         assert derive_seed(1, "2x") != derive_seed(12, "x")
+
+
+class TestCumulativeChoice:
+    def test_same_picks_and_stream_as_weighted_choice(self):
+        from itertools import accumulate
+
+        items = ("a", "b", "c", "d")
+        weights = (3.0, 0.7, 1.5, 4.0)
+        cum = tuple(accumulate(weights))
+        weighted, cumulative = SeededRng(5), SeededRng(5)
+        for _ in range(200):
+            assert cumulative.cumulative_choice(items, cum) == (
+                weighted.weighted_choice(items, weights)
+            )
+        assert cumulative.uniform(0, 1) == weighted.uniform(0, 1)
