@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import BinaryIO, List, Optional
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -411,12 +411,10 @@ def _serve_run(args: argparse.Namespace) -> int:
         STATUS_ERROR,
         STATUS_SHED,
         ProfilingService,
-        ProtocolError,
         ServiceConfig,
-        expand_sessions,
-        parse_queries_jsonl,
         responses_to_jsonl,
     )
+    from .serve.core import RequestStream, work_items
 
     service = ProfilingService(
         ServiceConfig(
@@ -452,15 +450,24 @@ def _serve_run(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.queries:
         try:
-            lines = Path(args.queries).read_text(encoding="utf-8").splitlines()
-            queries = parse_queries_jsonl(lines)
-        except (OSError, ProtocolError) as exc:
+            lines = Path(args.queries).read_bytes().split(b"\n")
+        except OSError as exc:
             print(f"cannot load queries: {exc}", file=sys.stderr)
             return 2
-        expanded = [
-            q for query in queries for q in expand_sessions(query, service.sessions)
-        ]
-        responses = service.serve_batch(expanded, burst=args.burst)
+        stream, queries = RequestStream(), []
+        for lineno, raw in enumerate(lines, start=1):
+            decoded = stream.decode(raw)
+            if decoded is None:
+                continue
+            if decoded.kind != "query":
+                error = decoded.error or (
+                    "aggregate lines are answered by --daemon, --listen "
+                    "or `repro aggregate`, not --queries"
+                )
+                print(f"cannot load queries: line {lineno}: {error}", file=sys.stderr)
+                return 2
+            queries += work_items(decoded, service.sessions)
+        responses = service.serve_batch(queries, burst=args.burst)
         answered = sum(r.ok for r in responses)
         shed = sum(r.status == STATUS_SHED for r in responses)
         errors = sum(r.status == STATUS_ERROR for r in responses)
@@ -505,67 +512,22 @@ def _serve_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _serve_daemon(service) -> None:
-    """JSONL request/response loop on stdin/stdout (until EOF).
+def _serve_daemon(service, stdin: Optional[BinaryIO] = None) -> None:
+    """JSONL request/response loop on stdin (bytes) and stdout, until EOF.
 
-    A line carrying an ``op`` field is a fleet aggregate
-    (:class:`~repro.aggregate.AggregateRequest`); anything else is a
-    per-session :class:`~repro.serve.QueryRequest`.  Lines longer than
-    ``MAX_LINE_BYTES`` and lines that fail to parse both come back as
-    typed ``error`` responses — the same degradation contract as the
-    TCP front-end (both go through ``decode_request_line``).
+    Every line goes through the request core (:mod:`repro.serve.core`),
+    as on TCP and ``--queries``; a final line without a newline is
+    answered too.
     """
-    import json
+    from .serve.core import RequestStream, answer, reply_line, work_items
 
-    from .serve import (
-        MAX_LINE_BYTES,
-        decode_request_line,
-        encode_response_line,
-        expand_sessions,
-    )
-
-    seq = 0
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        seq += 1
-        if len(raw.encode("utf-8")) > MAX_LINE_BYTES:
-            sys.stdout.write(
-                json.dumps(
-                    {
-                        "id": seq,
-                        "status": "error",
-                        "error": (
-                            "line exceeds the maximum line size "
-                            f"({MAX_LINE_BYTES} bytes)"
-                        ),
-                    }
-                )
-                + "\n"
-            )
+    stream = RequestStream()
+    for raw in sys.stdin.buffer if stdin is None else stdin:
+        decoded = stream.decode(raw.rstrip(b"\n"))
+        if decoded is not None:
+            for item in work_items(decoded, service.sessions):
+                sys.stdout.write(reply_line(answer(service, item)))
             sys.stdout.flush()
-            continue
-        decoded = decode_request_line(line, default_id=seq)
-        if decoded.kind == "error":
-            sys.stdout.write(
-                json.dumps(
-                    {"id": decoded.id, "status": "error", "error": decoded.error}
-                )
-                + "\n"
-            )
-            sys.stdout.flush()
-            continue
-        if decoded.kind == "aggregate":
-            response = service.aggregate(decoded.aggregate)
-            out = {"id": decoded.id}
-            out.update(response.to_dict())
-            sys.stdout.write(json.dumps(out) + "\n")
-            sys.stdout.flush()
-            continue
-        for expanded in expand_sessions(decoded.query, service.sessions):
-            sys.stdout.write(encode_response_line(service.submit(expanded)))
-        sys.stdout.flush()
 
 
 def _serve_listen(service, args: argparse.Namespace) -> int:

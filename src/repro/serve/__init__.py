@@ -31,7 +31,6 @@ from .protocol import (
     decode_request_line,
     encode_response_line,
     expand_sessions,
-    parse_queries_jsonl,
     responses_to_jsonl,
 )
 from .service import (
@@ -76,7 +75,6 @@ __all__ = [
     "encode_response_line",
     "expand_sessions",
     "iter_traces",
-    "parse_queries_jsonl",
     "responses_to_jsonl",
     "scenario_digest",
     "trace_from_document",

@@ -41,6 +41,39 @@ class QueryFailedError(RuntimeError):
         self.response = response
 
 
+def build_query(
+    qid: int,
+    session: str,
+    backend: str,
+    start: float = 0.0,
+    end: Optional[float] = None,
+    owners: Optional[Sequence[int]] = None,
+) -> QueryRequest:
+    """One keyword-style query as a :class:`QueryRequest`."""
+    report = ReportRequest(
+        backend=backend,
+        start=start,
+        end=end,
+        owners=None if owners is None else tuple(owners),
+    )
+    return QueryRequest(id=qid, session=session, report=report)
+
+
+def still_shed(response: QueryResponse, resubmits: int) -> QueryResponse:
+    """A response still shed after ``resubmits`` tries, naming the query.
+
+    A bare "shed" tells the caller nothing about *what* to retry.
+    """
+    return replace(
+        response,
+        error=(
+            f"query {response.id} on session {response.session!r} "
+            f"still shed after {resubmits} resubmit(s): "
+            f"{response.error or 'queue full'}"
+        ),
+    )
+
+
 class ServiceClient:
     """Keyword-friendly querying over one in-process service."""
 
@@ -66,19 +99,11 @@ class ServiceClient:
         owners: Optional[Sequence[int]] = None,
     ) -> List[QueryRequest]:
         """One query — or one per session for the ``"*"`` wildcard."""
-        report = ReportRequest(
-            backend=backend,
-            start=start,
-            end=end,
-            owners=None if owners is None else tuple(owners),
-        )
+        query = build_query(0, session, backend, start, end, owners)
         sessions = (
             self.service.session_names() if session == ALL_SESSIONS else [session]
         )
-        return [
-            QueryRequest(id=self._take_id(), session=name, report=report)
-            for name in sessions
-        ]
+        return [replace(query, id=self._take_id(), session=name) for name in sessions]
 
     def expand(self, queries: Sequence[QueryRequest]) -> List[QueryRequest]:
         """Expand ``"*"`` sessions in an already-built query list.
@@ -151,15 +176,5 @@ class ServiceClient:
                 answered[index] = response
             pending = shed
         for index in pending:
-            response = answered[index]
-            # Name the query that ran out of resubmits — a bare "shed"
-            # tells the caller nothing about *what* to retry.
-            answered[index] = replace(
-                response,
-                error=(
-                    f"query {response.id} on session {response.session!r} "
-                    f"still shed after {self.max_resubmits} resubmit(s): "
-                    f"{response.error or 'queue full'}"
-                ),
-            )
+            answered[index] = still_shed(answered[index], self.max_resubmits)
         return answered

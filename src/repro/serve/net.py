@@ -63,25 +63,30 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..faults import fault_point, filter_read, filter_write, is_active
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_rng
-from ..reports.request import ReportRequest
-from .client import QueryFailedError
+from .client import QueryFailedError, build_query, still_shed
+from .core import (
+    Reply,
+    RequestStream,
+    WorkItem,
+    answer,
+    error_line,
+    failure,
+    label,
+    reply_line,
+    work_items,
+)
 from .protocol import (
     ALL_SESSIONS,
     MAX_LINE_BYTES,
-    STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
-    DecodedLine,
     QueryRequest,
     QueryResponse,
-    decode_request_line,
-    encode_response_line,
-    expand_sessions,
 )
 from .service import ProfilingService
 
@@ -230,8 +235,7 @@ class _Connection:
         self.writer = writer
         peer = writer.get_extra_info("peername")
         self.peer = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
-        self.seq = 0  # per-connection line sequence (default query ids)
-        self.lines = 0
+        self.stream = RequestStream(config.max_line_bytes)
         self.responses = 0
         self.broken = False  # write side failed; discard, don't wedge
         self.inflight = asyncio.Semaphore(config.inflight_per_connection)
@@ -355,8 +359,7 @@ class NetServer:
     async def _refuse(self, writer, reason: str) -> None:
         """One error line, then close — for connections never admitted."""
         try:
-            payload = {"id": 0, "status": STATUS_ERROR, "error": reason}
-            writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+            writer.write(reply_line(error_line(0, reason)).encode("utf-8"))
             await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -384,64 +387,32 @@ class NetServer:
                 break  # injected read failure: the peer sees the close
             for kind, line in assembler.feed(chunk):
                 if kind == "oversized":
-                    conn.seq += 1
-                    self.stats.lines += 1
                     self.stats.oversized += 1
+                    decoded = conn.stream.oversized()
+                else:
+                    decoded = conn.stream.decode(line)
+                    if decoded is None:
+                        continue  # a blank or comment line
+                self.stats.lines += 1
+                if decoded.kind == "error":
                     self.stats.errors += 1
-                    await self._enqueue(
-                        conn,
-                        {
-                            "id": conn.seq,
-                            "status": STATUS_ERROR,
-                            "error": (
-                                "line exceeds the maximum line size "
-                                f"({self.config.max_line_bytes} bytes)"
-                            ),
-                        },
-                    )
+                    self.stats.parse_errors += kind != "oversized"
+                    await self._enqueue(conn, error_line(decoded.id, decoded.error))
                     continue
-                await self._handle_line(conn, line)
+                for item in work_items(decoded, self.service.sessions):
+                    await self._admit(conn, item)
 
-    async def _handle_line(self, conn: _Connection, raw: bytes) -> None:
-        text = raw.decode("utf-8", errors="replace").strip()
-        if not text or text.startswith("#"):
-            return  # blank lines and comments skip, matching the daemon
-        conn.seq += 1
-        conn.lines += 1
-        self.stats.lines += 1
-        decoded = decode_request_line(text, default_id=conn.seq)
-        if decoded.kind == "error":
-            self.stats.parse_errors += 1
-            self.stats.errors += 1
-            await self._enqueue(
-                conn,
-                {"id": decoded.id, "status": STATUS_ERROR, "error": decoded.error},
-            )
-            return
-        if decoded.kind == "aggregate":
-            await self._admit(conn, decoded, None)
-            return
-        query = decoded.query
-        assert query is not None
-        for subquery in expand_sessions(query, self.service.sessions):
-            await self._admit(conn, decoded, subquery)
-
-    async def _admit(
-        self,
-        conn: _Connection,
-        decoded: DecodedLine,
-        query: Optional[QueryRequest],
-    ) -> None:
+    async def _admit(self, conn: _Connection, item: WorkItem) -> None:
         """Admission control + read backpressure for one work item."""
-        if query is not None and self._pending >= self.config.max_pending:
-            # Queue full: an explicit shed through the service's own
-            # accounting path, never a silent drop.
-            self.stats.received += 1
-            self.stats.shed += 1
-            await self._enqueue(conn, self.service.shed(query))
-            return
-        if query is not None:
-            response = self._answer_inline(query)
+        if isinstance(item, QueryRequest):
+            if self._pending >= self.config.max_pending:
+                # Queue full: an explicit shed through the service's own
+                # accounting path, never a silent drop.
+                self.stats.received += 1
+                self.stats.shed += 1
+                await self._enqueue(conn, self.service.shed(item))
+                return
+            response = self._answer_inline(item)
             if response is not None:
                 self.stats.received += 1
                 self.stats.answered += 1
@@ -453,7 +424,7 @@ class NetServer:
         self.stats.received += 1
         self._pending += 1
         deadline = asyncio.get_running_loop().time() + self.config.deadline_s
-        task = asyncio.ensure_future(self._process(conn, decoded, query, deadline))
+        task = asyncio.ensure_future(self._process(conn, item, deadline))
         conn.pending.add(task)
         task.add_done_callback(conn.pending.discard)
 
@@ -472,84 +443,50 @@ class NetServer:
             self._service_lock.release()
 
     async def _process(
-        self,
-        conn: _Connection,
-        decoded: DecodedLine,
-        query: Optional[QueryRequest],
-        deadline: float,
+        self, conn: _Connection, item: WorkItem, deadline: float
     ) -> None:
         loop = asyncio.get_running_loop()
-        label_session = query.session if query is not None else "(aggregate)"
-        qid = query.id if query is not None else decoded.id
         try:
             remaining = deadline - loop.time()
-            reply: Union[QueryResponse, Dict[str, Any]]
+            reply: Optional[Reply]
             try:
                 if remaining <= 0:
                     raise asyncio.TimeoutError
-                if query is not None:
-                    future = loop.run_in_executor(
-                        self._executor,
-                        self._dispatch,
-                        self.service.submit,
-                        query,
-                        deadline,
-                    )
-                    response = await asyncio.wait_for(future, timeout=remaining)
-                    if response is None:  # the pool thread saw it expire
-                        raise asyncio.TimeoutError
-                    reply = response
-                    if response.status == STATUS_OK:
-                        self.stats.answered += 1
-                    elif response.status == STATUS_SHED:
-                        self.stats.shed += 1
-                    else:
-                        self.stats.errors += 1
-                else:
-                    future = loop.run_in_executor(
-                        self._executor,
-                        self._dispatch,
-                        self.service.aggregate,
-                        decoded.aggregate,
-                        deadline,
-                    )
-                    aggregate = await asyncio.wait_for(future, timeout=remaining)
-                    if aggregate is None:
-                        raise asyncio.TimeoutError
-                    reply = {"id": decoded.id}
-                    reply.update(aggregate.to_dict())
-                    self.stats.answered += 1
+                future = loop.run_in_executor(
+                    self._executor, self._dispatch, item, deadline
+                )
+                reply = await asyncio.wait_for(future, timeout=remaining)
+                if reply is None:  # the pool thread saw it expire
+                    raise asyncio.TimeoutError
             except asyncio.TimeoutError:
                 self.stats.deadline_exceeded += 1
-                self.stats.errors += 1
-                error = (
-                    f"deadline exceeded: query {qid} on session "
-                    f"{label_session!r} missed the "
-                    f"{self.config.deadline_s:g}s deadline"
+                qid, session = label(item)
+                reply = error_line(
+                    qid,
+                    f"deadline exceeded: query {qid} on session {session!r} "
+                    f"missed the {self.config.deadline_s:g}s deadline",
+                    session,
                 )
-                reply = {
-                    "id": qid,
-                    "session": label_session,
-                    "status": STATUS_ERROR,
-                    "error": error,
-                }
-                self._publish_deadline(query, decoded)
+                self._publish_deadline(item)
             except Exception as exc:
-                # Nothing may escape a connection handler: whatever the
-                # compute path threw becomes a typed error response.
+                # Nothing may escape a connection handler: a fault at the
+                # net.latency site becomes a typed error too.
+                reply = failure(item, exc)
+            status = (
+                reply.status if isinstance(reply, QueryResponse) else reply["status"]
+            )
+            if status == STATUS_OK:
+                self.stats.answered += 1
+            elif status == STATUS_SHED:
+                self.stats.shed += 1
+            else:
                 self.stats.errors += 1
-                reply = {
-                    "id": qid,
-                    "session": label_session,
-                    "status": STATUS_ERROR,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
             await self._enqueue(conn, reply)
         finally:
             self._pending -= 1
             conn.inflight.release()
 
-    def _dispatch(self, call: Callable[[Any], Any], request: Any, deadline: float):
+    def _dispatch(self, item: WorkItem, deadline: float) -> Optional[Reply]:
         """Runs on a pool thread: chaos latency point, then the service.
 
         Returns None without calling the service once ``deadline`` (a
@@ -562,22 +499,15 @@ class NetServer:
         with self._service_lock:
             if time.monotonic() >= deadline:
                 return None
-            return call(request)
+            return answer(self.service, item)
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    async def _enqueue(
-        self, conn: _Connection, reply: Union[QueryResponse, Dict[str, Any]]
-    ) -> None:
+    async def _enqueue(self, conn: _Connection, reply: Reply) -> None:
         """Queue one response line (bounded: write backpressure)."""
-        if conn.broken:
-            return  # the peer is gone; responses have nowhere to go
-        if isinstance(reply, QueryResponse):
-            line = encode_response_line(reply)
-        else:
-            line = json.dumps(reply) + "\n"
-        await conn.outbound.put(line)
+        if not conn.broken:  # else the peer is gone; nowhere to write
+            await conn.outbound.put(reply_line(reply))
 
     async def _write_loop(self, conn: _Connection) -> None:
         """One ``write`` and one ``drain()`` per wake-up.
@@ -668,19 +598,21 @@ class NetServer:
 
         self._publish(
             ConnectionClosedEvent(
-                time=0.0, peer=conn.peer, lines=conn.lines, responses=conn.responses
+                time=0.0,
+                peer=conn.peer,
+                lines=conn.stream.seq,
+                responses=conn.responses,
             )
         )
 
-    def _publish_deadline(
-        self, query: Optional[QueryRequest], decoded: DecodedLine
-    ) -> None:
+    def _publish_deadline(self, item: WorkItem) -> None:
         from ..telemetry import QueryDeadlineExceededEvent
 
+        query = item if isinstance(item, QueryRequest) else None
         self._publish(
             QueryDeadlineExceededEvent(
                 time=0.0,
-                session=query.session if query is not None else "(aggregate)",
+                session=label(item)[1],
                 backend=query.report.backend if query is not None else "aggregate",
                 deadline_s=self.config.deadline_s,
             )
@@ -819,16 +751,7 @@ class AsyncServiceClient:
             await asyncio.sleep(self.policy.delay_for(attempt, self._rng))
             response = await self._roundtrip(query)
         if response.status == STATUS_SHED:
-            response = QueryResponse(
-                id=response.id,
-                session=response.session,
-                status=STATUS_SHED,
-                error=(
-                    f"query {response.id} on session {response.session!r} "
-                    f"still shed after {self.max_resubmits} resubmit(s): "
-                    f"{response.error or 'queue full'}"
-                ),
-            )
+            response = still_shed(response, self.max_resubmits)
         return response
 
     async def submit_all(
@@ -846,16 +769,7 @@ class AsyncServiceClient:
         owners: Optional[Sequence[int]] = None,
     ) -> Dict[str, Any]:
         """One report payload; raises :class:`QueryFailedError` on error."""
-        request = QueryRequest(
-            id=self._take_id(),
-            session=session,
-            report=ReportRequest(
-                backend=backend,
-                start=start,
-                end=end,
-                owners=None if owners is None else tuple(owners),
-            ),
-        )
+        request = build_query(self._take_id(), session, backend, start, end, owners)
         response = await self.submit(request)
         if response.status != STATUS_OK or response.report is None:
             raise QueryFailedError(response)

@@ -32,9 +32,9 @@ STATUS_ERROR = "error"
 #: :func:`expand_sessions`).
 ALL_SESSIONS = "*"
 
-#: The largest wire line (request side) any serving front-end accepts —
-#: shared by the stdin daemon and the TCP server so an oversized line
-#: degrades to the same typed ``error`` response on both transports.
+#: The largest request line (newline excluded) any serving front-end
+#: accepts: a longer line is the same typed ``error`` on every transport
+#: (see :mod:`repro.serve.core`).
 MAX_LINE_BYTES = 1 << 20
 
 
@@ -163,37 +163,6 @@ class QueryResponse:
         )
 
 
-def parse_queries_jsonl(lines: Iterable[str]) -> List[QueryRequest]:
-    """Parse a JSONL query stream (blank lines and ``#`` comments skip).
-
-    Queries without an explicit ``id`` get their (1-based) request
-    sequence number — blank and comment lines are not counted, as on the
-    daemon and TCP transports — so responses stay matchable even for
-    anonymous streams.  Parse errors name the physical line.
-    """
-    queries: List[QueryRequest] = []
-    seq = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        seq += 1
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"line {lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ProtocolError(
-                f"line {lineno}: query must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        try:
-            queries.append(QueryRequest.from_dict(data, default_id=seq))
-        except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"line {lineno}: {exc}") from exc
-    return queries
-
-
 def encode_response_line(response: QueryResponse) -> str:
     """One response as a wire line: ``json.dumps(to_dict()) + "\\n"``.
 
@@ -245,14 +214,13 @@ class DecodedLine:
 def decode_request_line(text: str, default_id: int = 0) -> DecodedLine:
     """Decode one JSONL wire line; **never raises**.
 
-    This is the single request-parse boundary every serving front-end
-    (stdin daemon, TCP server) goes through: any garbage, truncated,
-    non-object, or otherwise malformed line comes back as a typed
-    ``kind="error"`` result the caller turns into a ``status: error``
-    response — a broken line must never take down a connection handler,
-    and must never be silently dropped.  A line carrying an ``op`` field
-    is routed to the fleet-aggregation request parser, everything else
-    to :meth:`QueryRequest.from_dict`.
+    The request core (:mod:`repro.serve.core`) parses every line here:
+    any garbage, truncated, non-object, or otherwise malformed line
+    comes back as a typed ``kind="error"`` result the caller turns into
+    a ``status: error`` response — a broken line must never take down a
+    connection handler, and must never be silently dropped.  A line
+    carrying an ``op`` field is routed to the fleet-aggregation request
+    parser, everything else to :meth:`QueryRequest.from_dict`.
     """
     from ..aggregate import AggregateRequestError, is_aggregate_document
 

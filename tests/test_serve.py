@@ -13,14 +13,12 @@ from repro.serve import (
     STATUS_OK,
     STATUS_SHED,
     ProfilingService,
-    ProtocolError,
     QueryFailedError,
     QueryRequest,
     QueryResponse,
     ServiceClient,
     ServiceConfig,
     expand_sessions,
-    parse_queries_jsonl,
 )
 from repro.workloads import run_attack3, run_scene1
 
@@ -273,16 +271,37 @@ class TestProtocol:
         restored = QueryResponse.from_dict(response.to_dict())
         assert restored.id == 7 and restored.report == {"total_j": 1.0}
 
-    def test_parse_queries_jsonl(self):
+    @staticmethod
+    def _serve_queries(tmp_path, lines, trace=None):
+        """Run ``serve --queries`` on ``lines``: (exit code, responses)."""
+        from repro.cli import main
+
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["serve", "--queries", str(queries), "--save", str(tmp_path / "out")]
+        if trace is not None:
+            batch = tmp_path / "a.json"
+            batch.write_text(trace.to_json(), encoding="utf-8")
+            argv += ["--batch", str(batch)]
+        code = main(argv)
+        out = tmp_path / "out" / "responses.jsonl"
+        if not out.exists():
+            return code, []
+        return code, [json.loads(line) for line in out.read_text().splitlines()]
+
+    def test_queries_file_skips_blank_and_comment_lines_in_default_ids(
+        self, tmp_path, scene_trace, capsys
+    ):
         lines = [
             "# comment",
             "",
             json.dumps({"session": "a", "backend": "energy"}),
-            json.dumps({"id": 9, "session": "b", "backend": "eandroid"}),
+            json.dumps({"id": 9, "session": "a", "backend": "eandroid"}),
         ]
-        queries = parse_queries_jsonl(lines)
+        code, responses = self._serve_queries(tmp_path, lines, scene_trace)
         # Blank and comment lines are not counted, as on the daemon/TCP.
-        assert [q.id for q in queries] == [1, 9]
+        assert code == 0
+        assert [r["id"] for r in responses] == [1, 9]
 
     def test_expand_sessions_keeps_the_line_id(self):
         wildcard = QueryRequest(4, ALL_SESSIONS, ReportRequest("energy"))
@@ -292,13 +311,25 @@ class TestProtocol:
         assert expand_sessions(plain, ["a", "b"]) == [plain]
         assert expand_sessions(wildcard, []) == [wildcard]
 
-    def test_parse_errors_carry_line_numbers(self):
-        with pytest.raises(ProtocolError, match="line 2"):
-            parse_queries_jsonl(["# ok", "{broken"])
+    def test_parse_errors_carry_line_numbers(self, tmp_path, capsys):
+        assert self._serve_queries(tmp_path, ["# ok", "{broken"]) == (2, [])
+        err = capsys.readouterr().err
+        assert "cannot load queries: line 2: not valid JSON" in err
 
-    def test_bad_backend_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            parse_queries_jsonl([json.dumps({"session": "a", "backend": "nope"})])
+    def test_bad_backend_refuses_the_queries_file(self, tmp_path, capsys):
+        line = json.dumps({"session": "a", "backend": "nope"})
+        assert self._serve_queries(tmp_path, [line]) == (2, [])
+        assert "cannot load queries: line 1:" in capsys.readouterr().err
+
+    def test_aggregate_lines_are_refused_by_the_queries_path(self, tmp_path, capsys):
+        lines = [
+            json.dumps({"session": "a", "backend": "energy"}),
+            json.dumps({"backend": "eandroid", "op": "sum", "group_by": "owner"}),
+        ]
+        assert self._serve_queries(tmp_path, lines) == (2, [])
+        err = capsys.readouterr().err
+        assert "line 2: aggregate lines are answered by --daemon, --listen" in err
+        assert "repro aggregate" in err
 
 
 class TestStdinDaemon:
@@ -309,8 +340,11 @@ class TestStdinDaemon:
 
         from repro.cli import _serve_daemon
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
-        _serve_daemon(service)
+        data = b"".join(
+            line if isinstance(line, bytes) else line.encode("utf-8")
+            for line in lines
+        )
+        _serve_daemon(service, io.BytesIO(data))
         return [
             json.loads(line)
             for line in capsys.readouterr().out.splitlines()
@@ -375,6 +409,32 @@ class TestStdinDaemon:
         # the loop survives the oversized line and serves the next one
         assert out[1]["id"] == 6 and out[1]["status"] == STATUS_OK
 
+    def test_non_utf8_line_is_typed_error_not_crash(self, tmp_path, scene_trace):
+        # Regression: the daemon read stdin as text, so a byte that is not
+        # UTF-8 killed it with a traceback and left later lines unanswered.
+        import os
+        import subprocess
+        import sys
+
+        trace = tmp_path / "scene.json"
+        trace.write_text(scene_trace.to_json(), encoding="utf-8")
+        data = b'{"session": "\xff", "backend": "energy"}\n' + (
+            json.dumps({"session": "scene", "backend": "energy"}).encode() + b"\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--batch", str(trace), "--daemon"],
+            input=data,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert b"Traceback" not in done.stderr
+        bad, good = [json.loads(line) for line in done.stdout.splitlines()]
+        assert bad["id"] == 1 and bad["status"] == STATUS_ERROR and bad["error"]
+        assert good["id"] == 2 and good["status"] == STATUS_OK
+
     def test_garbage_line_is_typed_error_not_crash(
         self, service, monkeypatch, capsys
     ):
@@ -426,8 +486,7 @@ class TestStdinDaemon:
         from repro.cli import _serve_daemon
 
         line = json.dumps({"id": 3, "session": "scene", "backend": "eandroid"})
-        monkeypatch.setattr("sys.stdin", io.StringIO((line + "\n") * 2))
-        _serve_daemon(service)
+        _serve_daemon(service, io.BytesIO((line + "\n").encode() * 2))
         wire = capsys.readouterr().out.splitlines(keepends=True)
         assert len(wire) == 2
         for raw in wire:

@@ -15,9 +15,9 @@ writes its share, half-closes, and reads to EOF), then asserts:
   in-process encoder's bytes, key order and float text included;
 * the multiset of ``(session, canonical report payload)`` pairs is
   byte-identical to a reference ``responses.jsonl`` produced by the
-  in-process ``--queries`` path over the same corpus (ids differ by
-  design: the server expands ``"*"`` preserving the original line id,
-  the batch client assigns fresh ids — payloads must not);
+  in-process ``--queries`` path over the same corpus (compared without
+  ids: this tool renumbers every query so a shed response maps back to
+  its line, while ``--queries`` keeps each line's own id);
 * SIGINT shuts the server down gracefully (exit code 0, final
   ``net stats`` line on stderr).
 
