@@ -83,8 +83,9 @@ def energy_conservation(system: "AndroidSystem", ea: "EAndroid") -> List[OracleV
 def _reference_reachable(live_links: Sequence["AttackLink"], host: int) -> Set[int]:
     """Targets reachable from ``host`` by a plain scan of the live links.
 
-    Deliberately independent of :class:`~repro.core.links.LinkGraph`'s
-    adjacency indexes and walks, which this oracle is checking.
+    Deliberately independent of the maps' live-link index and walks
+    (:class:`~repro.core.energy_map.LiveIndex`), which this oracle is
+    checking.
     """
     reached: Set[int] = set()
     nodes = {host}
@@ -105,7 +106,7 @@ def map_link_consistency(system: "AndroidSystem", ea: "EAndroid") -> List[Oracle
 
     Every uid that ever drove a link, and every uid with a map, is
     checked against a reachability computed here from the raw link
-    lists, not through the link graph's own indexes.
+    lists, not through the index the map fold walks.
     """
     out: List[OracleViolation] = []
     accounting = ea.accounting

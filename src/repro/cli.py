@@ -515,19 +515,34 @@ def _serve_run(args: argparse.Namespace) -> int:
 def _serve_daemon(service, stdin: Optional[BinaryIO] = None) -> None:
     """JSONL request/response loop on stdin (bytes) and stdout, until EOF.
 
-    Every line goes through the request core (:mod:`repro.serve.core`),
-    as on TCP and ``--queries``; a final line without a newline is
-    answered too.
+    stdin is read in fixed chunks and framed by TCP's
+    :class:`~repro.serve.net.LineAssembler`, so an over-long line is
+    discarded as it streams in, never held whole.  Every line goes
+    through the request core (:mod:`repro.serve.core`), as on TCP and
+    ``--queries``; a final line without a newline is answered too.
     """
     from .serve.core import RequestStream, answer, reply_line, work_items
+    from .serve.net import READ_CHUNK, LineAssembler
+
+    source = sys.stdin.buffer if stdin is None else stdin
+
+    def chunks():
+        last = b"\n"
+        for chunk in iter(lambda: source.read1(READ_CHUNK), b""):
+            yield chunk
+            last = chunk
+        if not last.endswith(b"\n"):
+            yield b"\n"  # EOF ends the final line
 
     stream = RequestStream()
-    for raw in sys.stdin.buffer if stdin is None else stdin:
-        decoded = stream.decode(raw.rstrip(b"\n"))
-        if decoded is not None:
-            for item in work_items(decoded, service.sessions):
-                sys.stdout.write(reply_line(answer(service, item)))
-            sys.stdout.flush()
+    assembler = LineAssembler(stream.max_line_bytes)
+    for chunk in chunks():
+        for kind, line in assembler.feed(chunk):
+            decoded = stream.oversized() if kind == "oversized" else stream.decode(line)
+            if decoded is not None:
+                for item in work_items(decoded, service.sessions):
+                    sys.stdout.write(reply_line(answer(service, item)))
+        sys.stdout.flush()
 
 
 def _serve_listen(service, args: argparse.Namespace) -> int:

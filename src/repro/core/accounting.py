@@ -1,10 +1,10 @@
 """E-Android's enhanced energy accounting module.
 
 The second of the paper's three components: it receives attack-link
-begin/end notifications from the monitor, maintains the collateral
-energy maps (Algorithm 1, via the link graph + map-set sync), and — on
-demand — converts charge windows into joules against the hardware
-meter's ground truth.
+begin/end notifications from the monitor, logs them, derives the
+collateral energy maps from that log (Algorithm 1, folded in when the
+maps are read), and — on demand — converts charge windows into joules
+against the hardware meter's ground truth.
 
 "Note that only the part of energy consumption during the attack
 lifecycle would be superimposed to the collateral energy of the driving
@@ -24,7 +24,7 @@ from ..telemetry import (
     Category,
     TelemetryBus,
 )
-from .energy_map import CollateralEnergyMap, CollateralMapSet
+from .energy_map import CollateralEnergyMap, CollateralMapSet, LinkEdge
 from .links import SCREEN_TARGET, AttackKind, AttackLink, LinkGraph
 from .policy import ChargePolicy, FullCharge
 
@@ -48,7 +48,9 @@ class EAndroidAccounting:
         self._policy = policy if policy is not None else FullCharge()
         self._policy_token = 0
         self.graph = LinkGraph()
-        self.maps = CollateralMapSet()
+        self._maps = CollateralMapSet()
+        # Link begin/end edges not yet folded into the maps.
+        self._edges: List[LinkEdge] = []
         # (host, start, end) -> per-target charge memo.  Each target's
         # joules are keyed on (element version, target trace epoch,
         # policy identity), so reconciliation passes reuse every charge
@@ -57,6 +59,20 @@ class EAndroidAccounting:
         self._breakdown_cache: "OrderedDict[Tuple[int, float, float], Dict[int, Tuple]]" = (
             OrderedDict()
         )
+
+    @property
+    def maps(self) -> CollateralMapSet:
+        """The collateral energy maps, current as of this read.
+
+        Algorithm 1 runs here, not on each link change: the edges logged
+        since the last read are folded in, in order, so the maps come
+        out exactly as an eager per-event sync would leave them.
+        """
+        edges = self._edges
+        if edges:
+            self._maps.fold(edges)
+            edges.clear()
+        return self._maps
 
     @property
     def policy(self) -> ChargePolicy:
@@ -74,10 +90,10 @@ class EAndroidAccounting:
     def begin_attack(
         self, kind: AttackKind, driving_uid: int, target: int, detail: str = ""
     ) -> AttackLink:
-        """Open an attack link and update every affected map."""
+        """Open an attack link and log the edge for the maps."""
         now = self._kernel.now
         link = self.graph.begin(kind, driving_uid, target, now, detail)
-        self.maps.sync(now, self.graph, driving_uid)
+        self._edges.append((now, True, link))
         telemetry = self._telemetry
         if telemetry is not None:
             if telemetry.wants(Category.ATTACK):
@@ -96,12 +112,10 @@ class EAndroidAccounting:
         return link
 
     def end_attack(self, link: AttackLink) -> None:
-        """Close an attack link and update every affected map."""
+        """Close an attack link and log the edge for the maps."""
         now = self._kernel.now
-        self.graph.end(link, now)
-        # A parallel live link keeps the edge, so nobody's reach changes.
-        if not self.graph.has_live(link.driving_uid, link.target):
-            self.maps.sync(now, self.graph, link.driving_uid)
+        if self.graph.end(link, now):
+            self._edges.append((now, False, link))
         telemetry = self._telemetry
         if telemetry is not None:
             if telemetry.wants(Category.ATTACK):

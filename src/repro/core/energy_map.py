@@ -10,15 +10,20 @@ that is the link graph's job.  :meth:`CollateralMapSet.sync` diffs the
 reachability of the hosts a link change can affect against their
 currently-open elements and opens/closes windows accordingly, which
 realises Algorithm 1's ``AddElement`` / attack-state updates including
-chain propagation.
+chain propagation.  The accounting module does not run it per event:
+:meth:`CollateralMapSet.fold` replays the logged link edges through it
+when the maps are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .links import LinkGraph
+from .links import SCREEN_TARGET, AttackLink, LinkGraph
+
+#: One logged link change: (time, True for begin / False for end, link).
+LinkEdge = Tuple[float, bool, AttackLink]
 
 
 @dataclass
@@ -136,12 +141,97 @@ class CollateralEnergyMap:
         return len(self._elements)
 
 
+class LiveIndex:
+    """Live links by driving uid and by target, in opening order.
+
+    Reachability walks only a node's out-edges (or, for
+    :meth:`reaching`, its in-edges) instead of rescanning every live
+    link, and visits them in the order a scan of the live links would.
+    """
+
+    def __init__(self) -> None:
+        # uid -> {link_id: link}
+        self._out: Dict[int, Dict[int, AttackLink]] = {}
+        self._in: Dict[int, Dict[int, AttackLink]] = {}
+
+    def add(self, link: AttackLink) -> None:
+        """Index a link that just opened."""
+        link_id = link.link_id
+        out = self._out.get(link.driving_uid)
+        if out is None:
+            self._out[link.driving_uid] = {link_id: link}
+        else:
+            out[link_id] = link
+        into = self._in.get(link.target)
+        if into is None:
+            self._in[link.target] = {link_id: link}
+        else:
+            into[link_id] = link
+
+    def remove(self, link: AttackLink) -> None:
+        """Drop a link that just ended."""
+        link_id = link.link_id
+        out = self._out[link.driving_uid]
+        del out[link_id]
+        if not out:
+            del self._out[link.driving_uid]
+        into = self._in[link.target]
+        del into[link_id]
+        if not into:
+            del self._in[link.target]
+
+    def has_live(self, driving_uid: int, target: int) -> bool:
+        """Whether a live link from ``driving_uid`` points at ``target``."""
+        for link in self._out.get(driving_uid, {}).values():
+            if link.target == target:
+                return True
+        return False
+
+    def reachable_from(self, host: int) -> Set[int]:
+        """Targets transitively reachable from ``host`` over live links
+        (the host itself excluded, so cycles don't self-charge)."""
+        live_out = self._out
+        reached: Set[int] = set()
+        frontier = [host]
+        while frontier:
+            out = live_out.get(frontier.pop())
+            if not out:
+                continue
+            for link in out.values():
+                target = link.target
+                if target == host or target in reached:
+                    continue
+                reached.add(target)
+                if target != SCREEN_TARGET:
+                    frontier.append(target)
+        return reached
+
+    def reaching(self, uid: int) -> List[int]:
+        """Every other uid with a live path to ``uid``."""
+        live_in = self._in
+        found: List[int] = []
+        seen = {uid}
+        frontier = [uid]
+        while frontier:
+            into = live_in.get(frontier.pop())
+            if not into:
+                continue
+            for link in into.values():
+                source = link.driving_uid
+                if source not in seen:
+                    seen.add(source)
+                    found.append(source)
+                    frontier.append(source)
+        return found
+
+
 class CollateralMapSet:
-    """All apps' collateral energy maps, kept in lockstep with the links."""
+    """All apps' collateral energy maps, derived from the link changes."""
 
     def __init__(self) -> None:
         self._maps: Dict[int, CollateralEnergyMap] = {}
         self._version = 0
+        self._index = LiveIndex()
 
     @property
     def version(self) -> int:
@@ -169,7 +259,27 @@ class CollateralMapSet:
         """Maps whose *open* elements include ``target`` (Algorithm 1's Mp)."""
         return [m for m in self._maps.values() if m.is_open(target)]
 
-    def sync(self, now: float, graph: LinkGraph, changed_uid: int) -> None:
+    def fold(self, edges: Iterable[LinkEdge]) -> None:
+        """Replay logged link edges, in order, through :meth:`sync`.
+
+        Each edge updates the live index and then re-diffs exactly as an
+        eager per-event sync would — an end whose (driver, target) edge
+        a parallel live link keeps changes nobody's reach and is
+        skipped — so every window, and its version, comes out the same.
+        """
+        index = self._index
+        for time, begin, link in edges:
+            if begin:
+                index.add(link)
+            else:
+                index.remove(link)
+                if index.has_live(link.driving_uid, link.target):
+                    continue
+            self.sync(time, index, link.driving_uid)
+
+    def sync(
+        self, now: float, graph: Union[LinkGraph, LiveIndex], changed_uid: int
+    ) -> None:
         """Re-diff reachability after a link driven by ``changed_uid`` changed.
 
         For each re-diffed host, targets newly reachable over live links

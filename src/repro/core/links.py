@@ -66,21 +66,17 @@ class AttackLink:
 class LinkGraph:
     """The set of all attack links, live and ended.
 
-    Live links are indexed both by driving uid and by target, so
-    reachability walks only a node's out-edges (or, for
-    :meth:`reaching`, its in-edges) instead of rescanning every live
-    link; the host set grows as links open instead of being rebuilt.
+    The graph only records links; it keeps no adjacency index.  The
+    collateral maps own the one live index (see
+    :meth:`~repro.core.energy_map.CollateralMapSet.fold`), so the
+    queries below are plain scans of the live links — an independent
+    reference for tests, the detector and the map cross-checks.
     """
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
         self._links: List[AttackLink] = []
         self._live: Dict[int, AttackLink] = {}
-        # uid -> {link_id: link}, in opening order (so walks visit links
-        # in the same order as a scan of ``_live`` would).
-        self._live_out: Dict[int, Dict[int, AttackLink]] = {}
-        self._live_in: Dict[int, Dict[int, AttackLink]] = {}
-        self._hosts: Set[int] = set()
 
     def begin(
         self,
@@ -95,33 +91,15 @@ class LinkGraph:
         link = AttackLink(link_id, kind, driving_uid, target, time, None, detail)
         self._links.append(link)
         self._live[link_id] = link
-        out = self._live_out.get(driving_uid)
-        if out is None:
-            self._live_out[driving_uid] = {link_id: link}
-        else:
-            out[link_id] = link
-        into = self._live_in.get(target)
-        if into is None:
-            self._live_in[target] = {link_id: link}
-        else:
-            into[link_id] = link
-        self._hosts.add(driving_uid)
         return link
 
-    def end(self, link: AttackLink, time: float) -> None:
-        """Close a link (idempotent for already-ended links)."""
+    def end(self, link: AttackLink, time: float) -> bool:
+        """Close a link; returns whether it was live (idempotent)."""
         if link.alive:
             link.end_time = time
-            link_id = link.link_id
-            if self._live.pop(link_id, None) is not None:
-                out = self._live_out[link.driving_uid]
-                del out[link_id]
-                if not out:
-                    del self._live_out[link.driving_uid]
-                into = self._live_in[link.target]
-                del into[link_id]
-                if not into:
-                    del self._live_in[link.target]
+            self._live.pop(link.link_id, None)
+            return True
+        return False
 
     def live_links(self) -> List[AttackLink]:
         """All currently live links."""
@@ -133,22 +111,22 @@ class LinkGraph:
 
     def live_from(self, driving_uid: int) -> List[AttackLink]:
         """Live links driven by one uid."""
-        return list(self._live_out.get(driving_uid, {}).values())
+        return [l for l in self._live.values() if l.driving_uid == driving_uid]
 
     def has_live(self, driving_uid: int, target: int) -> bool:
         """Whether a live link from ``driving_uid`` points at ``target``."""
-        for link in self._live_out.get(driving_uid, {}).values():
-            if link.target == target:
-                return True
-        return False
+        return any(
+            l.driving_uid == driving_uid and l.target == target
+            for l in self._live.values()
+        )
 
     def live_targeting(self, target: int) -> List[AttackLink]:
         """Live links pointing at one target."""
-        return list(self._live_in.get(target, {}).values())
+        return [l for l in self._live.values() if l.target == target]
 
     def hosts(self) -> Set[int]:
         """Every uid that has ever driven a link."""
-        return set(self._hosts)
+        return {l.driving_uid for l in self._links}
 
     def reachable_from(self, host: int) -> Set[int]:
         """Targets transitively reachable from ``host`` over live links.
@@ -157,16 +135,13 @@ class LinkGraph:
         contains every driven app/screen its live attack chain reaches
         (excluding the host itself, so cycles don't self-charge).
         """
-        live_out = self._live_out
         reached: Set[int] = set()
         frontier = [host]
         while frontier:
-            out = live_out.get(frontier.pop())
-            if not out:
-                continue
-            for link in out.values():
+            node = frontier.pop()
+            for link in self._live.values():
                 target = link.target
-                if target == host or target in reached:
+                if link.driving_uid != node or target == host or target in reached:
                     continue
                 reached.add(target)
                 if target != SCREEN_TARGET:
@@ -174,23 +149,15 @@ class LinkGraph:
         return reached
 
     def reaching(self, uid: int) -> List[int]:
-        """Every other uid with a live path to ``uid``.
-
-        Opening or closing a link driven by ``uid`` can change the
-        reachable set only of these hosts and ``uid`` itself: any path
-        through the changed edge first has to reach its driving uid.
-        """
-        live_in = self._live_in
+        """Every other uid with a live path to ``uid``."""
         found: List[int] = []
         seen = {uid}
         frontier = [uid]
         while frontier:
-            into = live_in.get(frontier.pop())
-            if not into:
-                continue
-            for link in into.values():
+            node = frontier.pop()
+            for link in self._live.values():
                 source = link.driving_uid
-                if source not in seen:
+                if link.target == node and source not in seen:
                     seen.add(source)
                     found.append(source)
                     frontier.append(source)

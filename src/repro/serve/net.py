@@ -91,7 +91,7 @@ from .protocol import (
 from .service import ProfilingService
 
 #: Socket read granularity for the line assembler.
-_READ_CHUNK = 1 << 16
+READ_CHUNK = 1 << 16
 
 #: Outbound-queue sentinel telling a connection's writer task to stop.
 _CLOSE = object()
@@ -374,7 +374,7 @@ class NetServer:
         assembler = LineAssembler(self.config.max_line_bytes)
         while True:
             try:
-                chunk = await conn.reader.read(_READ_CHUNK)
+                chunk = await conn.reader.read(READ_CHUNK)
             except (ConnectionError, OSError):
                 break  # mid-line disconnect: only this connection dies
             if not chunk:

@@ -95,7 +95,7 @@ def measure_memory_overhead(
             report.attack_links = len(eandroid.accounting.attack_log())
             report.map_elements = sum(
                 len(eandroid.accounting.map_for(host))
-                for host in eandroid.accounting.graph.hosts()
+                for host in eandroid.accounting.hosts()
             )
         reports[configuration] = report
     return reports

@@ -82,6 +82,8 @@ class TestWindowedEnergy:
         element = ea.accounting.map_for(a).element(b)
         assert element.is_open
         system.am.unbind_service(conn)
+        # Maps are current as of their last read: fetch the element again.
+        element = ea.accounting.map_for(a).element(b)
         assert not element.is_open
         # One contiguous 20 s window.
         assert element.closed == [(0.0, 20.0)]

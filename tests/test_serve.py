@@ -1,6 +1,7 @@
 """The energy query service: ingestion, serving, caching, backpressure."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -434,6 +435,53 @@ class TestStdinDaemon:
         bad, good = [json.loads(line) for line in done.stdout.splitlines()]
         assert bad["id"] == 1 and bad["status"] == STATUS_ERROR and bad["error"]
         assert good["id"] == 2 and good["status"] == STATUS_OK
+
+    def test_over_long_line_is_not_held_in_memory(self, tmp_path, scene_trace):
+        # Regression: the daemon read stdin line by line, so a 64 MiB
+        # line sat whole in memory (~169 MiB peak RSS) before the core
+        # refused it.  Chunked framing discards it as it streams in.
+        import os
+        import subprocess
+        import sys
+
+        trace = tmp_path / "scene.json"
+        trace.write_text(scene_trace.to_json(), encoding="utf-8")
+        query = json.dumps({"session": "scene", "backend": "energy"}).encode() + b"\n"
+        plain = tmp_path / "plain.jsonl"
+        plain.write_bytes(query)
+        hostile = tmp_path / "hostile.jsonl"
+        with open(hostile, "wb") as out:
+            out.write(b"#")
+            for _ in range(64):
+                out.write(b"x" * (1 << 20))
+            out.write(b"\n" + query)
+        tool = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+        def run(stdin):
+            replies = tmp_path / "replies.jsonl"
+            done = subprocess.run(
+                [sys.executable, str(tool), "--stdin", str(stdin),
+                 "--stdout", str(replies), "--", sys.executable, "-m", "repro",
+                 "serve", "--batch", str(trace), "--daemon"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            lines = replies.read_text(encoding="utf-8").splitlines()
+            return int(done.stdout.splitlines()[-1]), [json.loads(l) for l in lines]
+
+        plain_kib, plain_replies = run(plain)
+        hostile_kib, hostile_replies = run(hostile)
+        assert [(r["id"], r["status"]) for r in plain_replies] == [(1, STATUS_OK)]
+        assert [(r["id"], r["status"]) for r in hostile_replies] == [
+            (1, STATUS_ERROR),
+            (2, STATUS_OK),
+        ]
+        assert "maximum line size" in hostile_replies[0]["error"]
+        assert hostile_kib - plain_kib < 16 * 1024, (plain_kib, hostile_kib)
 
     def test_garbage_line_is_typed_error_not_crash(
         self, service, monkeypatch, capsys
