@@ -32,8 +32,11 @@ Commands:
 * ``serve`` — the long-lived energy query service: ``--batch PATH``
   ingests traces (file / JSONL stream / directory / check corpus),
   ``--queries FILE`` answers a JSONL query stream in one shot,
-  ``--daemon`` serves JSONL queries from stdin to stdout;
-  ``--queue``/``--burst`` control admission, ``--save DIR`` writes
+  ``--daemon`` serves JSONL queries from stdin to stdout (both answer
+  one line at a time, so they never queue or shed), ``--listen
+  HOST:PORT`` serves them over TCP, where ``--queue`` bounds the pending
+  queries and sheds the rest; ``--max-line`` bounds a request line on
+  every transport, ``--save DIR`` writes
   ``manifest.json`` + ``responses.jsonl``; ``--store DIR`` runs the
   service against an artifact store (digest-memoized corpus replay,
   persisted sessions), ``--spill`` releases ingested traces to the
@@ -408,6 +411,7 @@ def _serve_run(args: argparse.Namespace) -> int:
 
     from .offline import TraceFormatError
     from .serve import (
+        MAX_LINE_BYTES,
         STATUS_ERROR,
         STATUS_SHED,
         ProfilingService,
@@ -416,9 +420,10 @@ def _serve_run(args: argparse.Namespace) -> int:
     )
     from .serve.core import RequestStream, work_items
 
+    max_line = MAX_LINE_BYTES if args.max_line is None else args.max_line
+
     service = ProfilingService(
         ServiceConfig(
-            max_queue=args.queue,
             cache_entries=args.cache_entries,
             telemetry=True,
             store_dir=args.store or None,
@@ -454,7 +459,7 @@ def _serve_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot load queries: {exc}", file=sys.stderr)
             return 2
-        stream, queries = RequestStream(), []
+        stream, queries = RequestStream(max_line), []
         for lineno, raw in enumerate(lines, start=1):
             decoded = stream.decode(raw)
             if decoded is None:
@@ -467,7 +472,7 @@ def _serve_run(args: argparse.Namespace) -> int:
                 print(f"cannot load queries: line {lineno}: {error}", file=sys.stderr)
                 return 2
             queries += work_items(decoded, service.sessions)
-        responses = service.serve_batch(queries, burst=args.burst)
+        responses = [service.submit(query) for query in queries]
         answered = sum(r.ok for r in responses)
         shed = sum(r.status == STATUS_SHED for r in responses)
         errors = sum(r.status == STATUS_ERROR for r in responses)
@@ -480,11 +485,11 @@ def _serve_run(args: argparse.Namespace) -> int:
         if errors:
             exit_code = 1
     elif args.listen:
-        code = _serve_listen(service, args)
+        code = _serve_listen(service, args, max_line)
         if code != 0:
             return code
     elif args.daemon:
-        _serve_daemon(service)
+        _serve_daemon(service, max_line_bytes=max_line)
 
     manifest = service.manifest()
     if args.save:
@@ -512,7 +517,9 @@ def _serve_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _serve_daemon(service, stdin: Optional[BinaryIO] = None) -> None:
+def _serve_daemon(
+    service, stdin: Optional[BinaryIO] = None, max_line_bytes: Optional[int] = None
+) -> None:
     """JSONL request/response loop on stdin (bytes) and stdout, until EOF.
 
     stdin is read in fixed chunks and framed by TCP's
@@ -521,6 +528,7 @@ def _serve_daemon(service, stdin: Optional[BinaryIO] = None) -> None:
     through the request core (:mod:`repro.serve.core`), as on TCP and
     ``--queries``; a final line without a newline is answered too.
     """
+    from .serve import MAX_LINE_BYTES
     from .serve.core import RequestStream, answer, reply_line, work_items
     from .serve.net import READ_CHUNK, LineAssembler
 
@@ -534,8 +542,10 @@ def _serve_daemon(service, stdin: Optional[BinaryIO] = None) -> None:
         if not last.endswith(b"\n"):
             yield b"\n"  # EOF ends the final line
 
-    stream = RequestStream()
-    assembler = LineAssembler(stream.max_line_bytes)
+    if max_line_bytes is None:
+        max_line_bytes = MAX_LINE_BYTES
+    stream = RequestStream(max_line_bytes)
+    assembler = LineAssembler(max_line_bytes)
     for chunk in chunks():
         for kind, line in assembler.feed(chunk):
             decoded = stream.oversized() if kind == "oversized" else stream.decode(line)
@@ -545,13 +555,13 @@ def _serve_daemon(service, stdin: Optional[BinaryIO] = None) -> None:
         sys.stdout.flush()
 
 
-def _serve_listen(service, args: argparse.Namespace) -> int:
+def _serve_listen(service, args: argparse.Namespace, max_line: int) -> int:
     """Run the asyncio TCP front-end until SIGINT/SIGTERM."""
     import asyncio
     import json
     import signal
 
-    from .serve import MAX_LINE_BYTES, NetConfig, NetServer
+    from .serve import NetConfig, NetServer
 
     host, _, port_text = args.listen.rpartition(":")
     try:
@@ -565,9 +575,7 @@ def _serve_listen(service, args: argparse.Namespace) -> int:
     config = NetConfig(
         host=host,
         port=port,
-        max_line_bytes=(
-            args.max_line if args.max_line is not None else MAX_LINE_BYTES
-        ),
+        max_line_bytes=max_line,
         max_connections=args.max_connections,
         max_pending=args.queue,
         inflight_per_connection=args.inflight,
@@ -1059,7 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-line",
         type=int,
         default=None,
-        help="largest accepted request line in bytes (default 1 MiB)",
+        help="largest accepted request line in bytes, newline excluded, on "
+        "--queries, --daemon and --listen (default 1 MiB)",
     )
     serve.add_argument(
         "--max-connections",
@@ -1077,13 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue",
         type=int,
         default=256,
-        help="admission-control queue depth (default 256)",
-    )
-    serve.add_argument(
-        "--burst",
-        type=int,
-        default=None,
-        help="arrival burst size (default: the queue depth; larger bursts shed)",
+        help="pending queries --listen admits before it sheds (default 256)",
     )
     serve.add_argument(
         "--cache-entries",

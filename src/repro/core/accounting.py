@@ -192,11 +192,6 @@ class EAndroidAccounting:
         """Total collateral joules charged to an app."""
         return sum(self.collateral_breakdown(host_uid, start, end).values())
 
-    def _target_energy(self, target: int, start: float, end: float) -> float:
-        if target == SCREEN_TARGET:
-            return self._meter.screen_energy_j(start=start, end=end)
-        return self._meter.energy_j(owner=target, start=start, end=end)
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

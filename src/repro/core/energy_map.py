@@ -126,10 +126,6 @@ class CollateralEnergyMap:
         """Whether ``target`` is currently accruing charge."""
         return target in self._open
 
-    def all_targets(self) -> Set[int]:
-        """Every target that ever appeared in the map."""
-        return set(self._elements)
-
     def items(self) -> Iterable[Tuple[int, ElementWindow]]:
         """(target, window) pairs."""
         return self._elements.items()

@@ -88,14 +88,13 @@ class OfflineAnalyzer:
     # ------------------------------------------------------------------
     # profiler reconstructions
     # ------------------------------------------------------------------
-    def batterystats_report(
-        self, start: float = 0.0, end: Optional[float] = None
+    def _direct_report(
+        self, profiler: str, start: float, end: Optional[float]
     ) -> ProfilerReport:
-        """The stock-Android view, from the trace alone."""
+        """One row per owner's direct energy; Screen and Android OS
+        keep their aggregate labels, every app keeps its uid."""
         window_end = self.trace.captured_at if end is None else end
-        report = ProfilerReport(
-            profiler="BatteryStats (offline)", start=start, end=window_end
-        )
+        report = ProfilerReport(profiler=profiler, start=start, end=window_end)
         for owner in self.owners():
             energy = self.energy_j(owner=owner, start=start, end=window_end)
             if energy <= 0:
@@ -117,6 +116,12 @@ class OfflineAnalyzer:
                 )
             report.entries.append(entry)
         return report.finalize()
+
+    def batterystats_report(
+        self, start: float = 0.0, end: Optional[float] = None
+    ) -> ProfilerReport:
+        """The stock-Android view, from the trace alone."""
+        return self._direct_report("BatteryStats (offline)", start, end)
 
     def powertutor_report(
         self, start: float = 0.0, end: Optional[float] = None
@@ -296,15 +301,19 @@ class OfflineAnalyzer:
         window_end = self.trace.captured_at if end is None else end
         return self._breakdown(self._link_windows(start, window_end).get(host, {}))
 
-    def eandroid_report(
-        self, start: float = 0.0, end: Optional[float] = None
-    ) -> ProfilerReport:
-        """The revised (BatteryStats-based) E-Android view, offline."""
-        window_end = self.trace.captured_at if end is None else end
-        report = self.batterystats_report(start, window_end)
-        report.profiler = "E-Android (offline)"
-        windows = self._link_windows(start, window_end)
+    def _superimpose(
+        self,
+        report: ProfilerReport,
+        start: float,
+        end: float,
+        hosts: Optional[Tuple[int, ...]] = None,
+    ) -> None:
+        """Add each driving host's collateral charges to its row (made
+        if missing); ``hosts`` restricts which driving uids are charged."""
+        windows = self._link_windows(start, end)
         for host in sorted({l.driving_uid for l in self.trace.links}):
+            if hosts is not None and host not in hosts:
+                continue
             breakdown = self._breakdown(windows.get(host, {}))
             if not breakdown:
                 continue
@@ -322,6 +331,14 @@ class OfflineAnalyzer:
                     entry.collateral_j.get(label, 0.0) + joules
                 )
                 entry.energy_j += joules
+
+    def eandroid_report(
+        self, start: float = 0.0, end: Optional[float] = None
+    ) -> ProfilerReport:
+        """The revised (BatteryStats-based) E-Android view, offline."""
+        window_end = self.trace.captured_at if end is None else end
+        report = self._direct_report("E-Android (offline)", start, window_end)
+        self._superimpose(report, start, window_end)
         report.entries.sort(key=lambda e: e.energy_j, reverse=True)
         ground_truth = self.energy_j(start=start, end=window_end)
         for entry in report.entries:
@@ -338,35 +355,10 @@ class OfflineAnalyzer:
     ) -> ProfilerReport:
         """Ground-truth per-owner energy, as report rows (no policy).
 
-        One row per owner in the trace — Screen and Android OS keep
-        their aggregate labels, every app keeps its uid — with no
-        redistribution or collateral superimposition at all.
+        The BatteryStats rows under their own name: no redistribution
+        or collateral superimposition at all.
         """
-        window_end = self.trace.captured_at if end is None else end
-        report = ProfilerReport(
-            profiler="Energy (ground truth)", start=start, end=window_end
-        )
-        for owner in self.owners():
-            energy = self.energy_j(owner=owner, start=start, end=window_end)
-            if energy <= 0:
-                continue
-            if owner == SCREEN_OWNER:
-                entry = AppEnergyEntry(
-                    uid=None, label="Screen", energy_j=energy, is_screen=True
-                )
-            elif owner == SYSTEM_OWNER:
-                entry = AppEnergyEntry(
-                    uid=None, label="Android OS", energy_j=energy, is_system=True
-                )
-            else:
-                entry = AppEnergyEntry(
-                    uid=owner,
-                    label=self.label_for(owner),
-                    energy_j=energy,
-                    is_system=owner in self.trace.system_uids,
-                )
-            report.entries.append(entry)
-        return report.finalize()
+        return self._direct_report("Energy (ground truth)", start, end)
 
     def collateral_report(
         self,
@@ -385,27 +377,7 @@ class OfflineAnalyzer:
         report = ProfilerReport(
             profiler="Collateral (offline)", start=start, end=window_end
         )
-        all_hosts = sorted({l.driving_uid for l in self.trace.links})
-        if hosts is not None:
-            wanted = set(hosts)
-            all_hosts = [h for h in all_hosts if h in wanted]
-        windows = self._link_windows(start, window_end)
-        for host in all_hosts:
-            breakdown = self._breakdown(windows.get(host, {}))
-            if not breakdown:
-                continue
-            entry = AppEnergyEntry(
-                uid=host, label=self.label_for(host), energy_j=0.0
-            )
-            for target, joules in breakdown.items():
-                label = (
-                    "Screen" if target == SCREEN_TARGET else self.label_for(target)
-                )
-                entry.collateral_j[label] = (
-                    entry.collateral_j.get(label, 0.0) + joules
-                )
-                entry.energy_j += joules
-            report.entries.append(entry)
+        self._superimpose(report, start, window_end, hosts)
         return report.finalize()
 
     def describe(self, request: "ReportRequest") -> "ProfilerReportView":

@@ -8,9 +8,9 @@ collateral inventory, and a schema-versioned ``to_dict()`` that is the
 wire form the serving layer returns.
 
 :class:`ProfilerReportView` is the concrete adapter over the existing
-:class:`~repro.accounting.base.ProfilerReport`; the legacy dict helpers
-in :mod:`repro.export` are deprecation shims over it (and are asserted
-byte-identical by regression test).
+:class:`~repro.accounting.base.ProfilerReport`; :mod:`repro.export`
+serialises reports through it (``report_to_json`` writes its
+``repro.report/1`` form).
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ QueryResponse out).  The client adds what callers actually want:
 
 * keyword-style queries (``client.query("phone-a", "eandroid")``);
 * the ``"*"`` session wildcard, expanded over every ingested session;
-* batch submission under the service's admission control, with
-  automatic resubmission of shed responses (bounded retries);
+* batch submission, one query at a time, answered in query order;
 * typed errors instead of status-code checking.
 
-The client talks to an in-process service object; the daemon mode of
-``python -m repro serve`` wraps the same protocol over stdin/stdout for
-out-of-process callers.
+The client talks to an in-process service object, which answers each
+query on demand and so never sheds: only a front-end whose arrivals
+overlap (the TCP server, see :class:`~repro.serve.net.AsyncServiceClient`)
+sheds and resubmits.  The daemon mode of ``python -m repro serve`` wraps
+the same protocol over stdin/stdout for out-of-process callers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..reports.request import ReportRequest
 from .protocol import (
     ALL_SESSIONS,
-    STATUS_SHED,
     QueryRequest,
     QueryResponse,
     expand_sessions,
@@ -59,27 +59,11 @@ def build_query(
     return QueryRequest(id=qid, session=session, report=report)
 
 
-def still_shed(response: QueryResponse, resubmits: int) -> QueryResponse:
-    """A response still shed after ``resubmits`` tries, naming the query.
-
-    A bare "shed" tells the caller nothing about *what* to retry.
-    """
-    return replace(
-        response,
-        error=(
-            f"query {response.id} on session {response.session!r} "
-            f"still shed after {resubmits} resubmit(s): "
-            f"{response.error or 'queue full'}"
-        ),
-    )
-
-
 class ServiceClient:
     """Keyword-friendly querying over one in-process service."""
 
-    def __init__(self, service: ProfilingService, max_resubmits: int = 3) -> None:
+    def __init__(self, service: ProfilingService) -> None:
         self.service = service
-        self.max_resubmits = max_resubmits
         self._next_id = 1
 
     # ------------------------------------------------------------------
@@ -149,32 +133,17 @@ class ServiceClient:
         """Convenience: just the report's total joules."""
         return float(self.query(session, backend, start, end)["total_j"])
 
-    def submit_all(
-        self, queries: Sequence[QueryRequest], burst: Optional[int] = None
-    ) -> List[QueryResponse]:
-        """Serve a batch, resubmitting shed queries a bounded number of
-        times; raises :class:`QueryFailedError` on the first hard error.
+    def submit_all(self, queries: Sequence[QueryRequest]) -> List[QueryResponse]:
+        """Answer each (expanded) query in order; raises
+        :class:`QueryFailedError` on the first error.
 
-        Returns one response per (expanded) query, in query order.
+        ``responses[i]`` answers the ``i``-th expanded query, so ids may
+        repeat freely.
         """
-        arrival = self.expand(queries)
-        answered: List[Optional[QueryResponse]] = [None] * len(arrival)
-        pending = list(range(len(arrival)))
-        for _ in range(self.max_resubmits + 1):
-            if not pending:
-                break
-            responses = self.service.serve_batch(
-                [arrival[i] for i in pending], burst=burst
-            )
-            shed: List[int] = []
-            # serve_batch answers by position, so ids may repeat freely.
-            for index, response in zip(pending, responses):
-                if response.status == STATUS_SHED:
-                    shed.append(index)  # kept below if retries run out
-                elif not response.ok:
-                    raise QueryFailedError(response)
-                answered[index] = response
-            pending = shed
-        for index in pending:
-            answered[index] = still_shed(answered[index], self.max_resubmits)
-        return answered
+        responses = []
+        for query in self.expand(queries):
+            response = self.service.submit(query)
+            if not response.ok:
+                raise QueryFailedError(response)
+            responses.append(response)
+        return responses

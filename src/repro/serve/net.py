@@ -63,12 +63,12 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..faults import fault_point, filter_read, filter_write, is_active
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_rng
-from .client import QueryFailedError, build_query, still_shed
+from .client import QueryFailedError, build_query
 from .core import (
     Reply,
     RequestStream,
@@ -410,7 +410,9 @@ class NetServer:
                 # accounting path, never a silent drop.
                 self.stats.received += 1
                 self.stats.shed += 1
-                await self._enqueue(conn, self.service.shed(item))
+                await self._enqueue(
+                    conn, self.service.shed(item, self.config.max_pending)
+                )
                 return
             response = self._answer_inline(item)
             if response is not None:
@@ -477,8 +479,6 @@ class NetServer:
             )
             if status == STATUS_OK:
                 self.stats.answered += 1
-            elif status == STATUS_SHED:
-                self.stats.shed += 1
             else:
                 self.stats.errors += 1
             await self._enqueue(conn, reply)
@@ -751,7 +751,14 @@ class AsyncServiceClient:
             await asyncio.sleep(self.policy.delay_for(attempt, self._rng))
             response = await self._roundtrip(query)
         if response.status == STATUS_SHED:
-            response = still_shed(response, self.max_resubmits)
+            # A bare "shed" tells the caller nothing about *what* to retry.
+            response = replace(
+                response,
+                error=(
+                    f"query {query.id} on session {query.session!r} still "
+                    f"shed after {self.max_resubmits} resubmit(s): {response.error}"
+                ),
+            )
         return response
 
     async def submit_all(

@@ -14,10 +14,11 @@ Structure:
   dictionary lookup, never a recomputation, and a transport encodes
   each cached payload's JSON once (:class:`~repro.serve.CachedReport`).
   Misses are computed in this process.
-* **Admission control** — arrivals are taken in bursts against a
-  bounded queue of depth ``max_queue``; what doesn't fit is *shed* with
-  an explicit ``status: shed`` response (never silently dropped), the
-  signal for callers to back off and resubmit.
+* **Shed accounting** — the service answers each query on demand and
+  never queues; a front-end whose arrivals overlap (the TCP server) sheds
+  what its own bound refuses through :meth:`ProfilingService.shed`, an
+  explicit ``status: shed`` response (never silently dropped) counted in
+  the service's stats.
 * **Artifact store** — with ``store_dir`` set, the service runs against
   a :class:`~repro.store.ArtifactStore`: corpus replay is digest-
   memoized (see :mod:`repro.serve.ingest`), sessions persist as
@@ -36,7 +37,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..faults import RetriesExhaustedError, fault_point, run_with_retry
 from ..offline.analyzer import OfflineAnalyzer
@@ -67,7 +68,6 @@ SESSION_REF_NAMESPACE = "session"
 class ServiceConfig:
     """Knobs for one service instance."""
 
-    max_queue: int = 256
     cache_entries: int = 512
     telemetry: bool = True
     store_dir: Optional[str] = None
@@ -76,7 +76,6 @@ class ServiceConfig:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form (for the manifest)."""
         return {
-            "max_queue": self.max_queue,
             "cache_entries": self.cache_entries,
             "telemetry": self.telemetry,
             "store_dir": self.store_dir,
@@ -515,33 +514,6 @@ class ProfilingService:
         self.stats.aggregates += 1
         return run_aggregate(self, request)
 
-    def serve_batch(
-        self,
-        queries: Sequence[QueryRequest],
-        burst: Optional[int] = None,
-    ) -> List[QueryResponse]:
-        """Answer a query load under admission control.
-
-        Arrivals are consumed in bursts of ``burst`` (default: the queue
-        depth) against the bounded queue: the first ``max_queue``
-        queries of each burst are admitted and served, the rest are shed
-        with explicit ``status: shed`` responses.  At the default burst
-        size shedding is impossible — backpressure only appears when the
-        caller deliberately delivers bursts larger than the queue.
-
-        Returns one response per query, in arrival order: ``responses[i]``
-        answers ``queries[i]`` whatever the ids.
-        """
-        burst_size = self.config.max_queue if burst is None else max(1, burst)
-        responses: List[QueryResponse] = []
-        for begin in range(0, len(queries), burst_size):
-            arrival = queries[begin : begin + burst_size]
-            admitted = arrival[: self.config.max_queue]
-            responses.extend(self.submit(query) for query in admitted)
-            overflow = arrival[self.config.max_queue :]
-            responses.extend(self.shed(query) for query in overflow)
-        return responses
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -586,12 +558,12 @@ class ProfilingService:
         self._note(query, response)
         return response
 
-    def shed(self, query: QueryRequest) -> QueryResponse:
-        """Refuse one query under admission control (counted, never silent).
+    def shed(self, query: QueryRequest, depth: int) -> QueryResponse:
+        """Refuse one query a front-end's bound of ``depth`` pending
+        queries turned away (counted, never silent).
 
-        Public because every serving front-end (batch, daemon, TCP) must
-        shed through the same accounting path so
-        ``received == answered + errors + shed`` holds service-wide.
+        Public so that shedding goes through the service's accounting
+        and ``received == answered + errors + shed`` holds service-wide.
         """
         self.stats.received += 1
         self.stats.shed += 1
@@ -604,14 +576,14 @@ class ProfilingService:
                     time=record.captured_at if record else 0.0,
                     session=query.session,
                     backend=query.report.backend,
-                    queue_depth=self.config.max_queue,
+                    queue_depth=depth,
                 )
             )
         return QueryResponse(
             id=query.id,
             session=query.session,
             status=STATUS_SHED,
-            error=f"queue full (depth {self.config.max_queue}); back off and resubmit",
+            error=f"queue full (depth {depth}); back off and resubmit",
         )
 
     def _note(self, query: QueryRequest, response: QueryResponse) -> None:

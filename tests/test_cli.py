@@ -239,32 +239,51 @@ class TestCliServe:
         assert main(["serve", "--batch", "no-such-dir"]) == 2
         assert "cannot ingest" in capsys.readouterr().err
 
-    def test_serve_fail_on_shed_trips(self, capsys, tmp_path):
-        queries = self._queries_file(
-            tmp_path,
-            [
-                {"session": "*", "backend": "energy", "start": float(i)}
-                for i in range(4)
-            ],
+    def test_serve_fail_on_shed_trips(self):
+        """Only TCP admits overlapping arrivals, so only --listen sheds."""
+        import json
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--batch", "corpus",
+             "--listen", "127.0.0.1:0", "--queue", "1", "--fail-on-shed"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
         )
-        assert (
-            main(
-                [
-                    "serve",
-                    "--batch",
-                    "corpus",
-                    "--queries",
-                    str(queries),
-                    "--queue",
-                    "2",
-                    "--burst",
-                    "12",
-                    "--fail-on-shed",
-                ]
+        try:
+            line = server.stderr.readline()
+            while line and not line.startswith("listening on "):
+                line = server.stderr.readline()
+            assert line, "serve exited before it listened"
+            host, _, port = line.split()[-1].rpartition(":")
+            cold = b"".join(
+                json.dumps(
+                    {"id": i, "session": "chaos-seed0-bc07bedbd53905df",
+                     "backend": "eandroid", "start": float(i)}
+                ).encode() + b"\n"
+                for i in range(1, 5)
             )
-            == 1
-        )
-        assert "--fail-on-shed" in capsys.readouterr().err
+            address = (host, int(port))
+            with socket.create_connection(address, timeout=60) as conn:
+                conn.sendall(cold)  # four misses in one write
+                with conn.makefile("rb") as replies:
+                    statuses = [json.loads(replies.readline())["status"] for _ in range(4)]
+            server.send_signal(signal.SIGINT)
+            err = server.communicate(timeout=60)[1]
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert sorted(statuses) == ["ok", "shed", "shed", "shed"]
+        assert server.returncode == 1
+        assert "--fail-on-shed: 3 quer(ies) shed" in err
 
     def test_serve_telemetry_flag(self, capsys, tmp_path):
         queries = self._queries_file(

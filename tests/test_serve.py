@@ -148,45 +148,14 @@ class TestServing:
         payloads = ServiceClient(svc).query(ALL_SESSIONS, "energy")
         assert set(payloads) == {"a", "b"}
 
-    def test_shed_on_small_queue(self, scene_trace):
-        svc = ProfilingService(ServiceConfig(max_queue=2, telemetry=False))
-        svc.ingest_trace("scene", scene_trace, "test")
-        client = ServiceClient(svc)
-        queries = [
-            client.build("scene", "energy", start=float(i))[0] for i in range(5)
-        ]
-        responses = svc.serve_batch(queries, burst=5)
-        statuses = [r.status for r in responses]
-        assert statuses.count(STATUS_OK) == 2
-        assert statuses.count(STATUS_SHED) == 3
-        assert svc.stats.shed == 3
-
-    def test_client_resubmits_shed(self, scene_trace):
-        svc = ProfilingService(ServiceConfig(max_queue=2, telemetry=False))
-        svc.ingest_trace("scene", scene_trace, "test")
-        client = ServiceClient(svc)
-        queries = [
-            client.build("scene", "energy", start=float(i))[0] for i in range(5)
-        ]
-        responses = client.submit_all(queries, burst=5)
-        assert all(r.status == STATUS_OK for r in responses)
-
-    def test_shed_exhaustion_names_query_and_session(self, scene_trace):
-        """A still-shed response must say which query, where, how hard
-        the client tried — not a bare 'queue full'."""
-        svc = ProfilingService(ServiceConfig(max_queue=2, telemetry=False))
-        svc.ingest_trace("scene", scene_trace, "test")
-        client = ServiceClient(svc, max_resubmits=0)
-        queries = [
-            client.build("scene", "energy", start=float(i))[0] for i in range(5)
-        ]
-        responses = client.submit_all(queries, burst=5)
-        shed = [r for r in responses if r.status == STATUS_SHED]
-        assert len(shed) == 3
-        for response in shed:
-            assert f"query {response.id} " in response.error
-            assert "session 'scene'" in response.error
-            assert "0 resubmit(s)" in response.error
+    def test_shed_names_the_callers_depth(self, service):
+        """Shedding is the front-end's call; the service only counts it."""
+        (query,) = ServiceClient(service).build("scene", "energy")
+        response = service.shed(query, 2)
+        assert response.status == STATUS_SHED
+        assert (response.id, response.session) == (query.id, "scene")
+        assert response.error == "queue full (depth 2); back off and resubmit"
+        assert service.stats.received == service.stats.shed == 1
 
     def test_manifest_shape(self, service):
         ServiceClient(service).query("scene", "energy")
@@ -198,32 +167,16 @@ class TestServing:
 
 
 class TestPositionalAnswers:
-    """serve_batch and submit_all answer each query by its position."""
+    """submit_all answers each query by its position."""
 
     def test_duplicate_ids_each_get_a_response(self, service):
         queries = [
             QueryRequest(7, "scene", ReportRequest("energy")),
             QueryRequest(7, "scene", ReportRequest("eandroid")),
         ]
-        responses = service.serve_batch(queries)
+        responses = ServiceClient(service).submit_all(queries)
         assert len(responses) == service.stats.received == 2
         assert [r.report["backend"] for r in responses] == ["energy", "eandroid"]
-
-    def test_overflow_is_shed_in_arrival_position(self, scene_trace):
-        svc = ProfilingService(ServiceConfig(max_queue=2, telemetry=False))
-        svc.ingest_trace("scene", scene_trace, "test")
-        queries = [
-            QueryRequest(i, "scene", ReportRequest("energy", start=float(i)))
-            for i in range(4)
-        ]
-        responses = svc.serve_batch(queries, burst=4)
-        assert [r.status for r in responses] == [
-            STATUS_OK,
-            STATUS_OK,
-            STATUS_SHED,
-            STATUS_SHED,
-        ]
-        assert [r.id for r in responses] == [0, 1, 2, 3]
 
     def test_submit_all_matches_duplicate_ids_by_position(self, scene_trace):
         attack = run_attack3()
@@ -239,21 +192,6 @@ class TestPositionalAnswers:
         ]
         expected = svc.sessions["a"].analyzer.describe(energy_a.report)
         assert responses[0].report == expected.to_dict()
-
-    def test_submit_all_resubmits_duplicate_ids_by_position(self, scene_trace):
-        svc = ProfilingService(ServiceConfig(max_queue=1, telemetry=False))
-        svc.ingest_trace("scene", scene_trace, "test")
-        queries = [
-            QueryRequest(1, "scene", ReportRequest(backend))
-            for backend in ("energy", "eandroid", "collateral")
-        ]
-        responses = ServiceClient(svc).submit_all(queries, burst=3)
-        assert [r.status for r in responses] == [STATUS_OK] * 3
-        assert [r.report["backend"] for r in responses] == [
-            "energy",
-            "eandroid",
-            "collateral",
-        ]
 
 
 class TestProtocol:

@@ -473,7 +473,7 @@ class TestDeadlinesAndShedding:
         assert response.status == STATUS_OK
         assert server.stats.shed >= 1
 
-    def test_still_shed_after_bounded_resubmits_is_typed(self, service):
+    def test_still_shed_after_bounded_resubmits_is_typed(self, scene_trace):
         config = NetConfig(max_pending=1, pool_workers=1)
         slow_line = b'{"id": 1, "session": "scene", "backend": "energy"}\n'
 
@@ -493,10 +493,23 @@ class TestDeadlinesAndShedding:
                 slow_writer.close()
             return response
 
-        with activate(_latency_plan(2000.0), seed=0):
-            server, response = run_net(service, config, scenario)
+        with capture() as recorder:
+            service = ProfilingService(ServiceConfig())
+            service.ingest_trace("scene", scene_trace, "test")
+            with activate(_latency_plan(2000.0), seed=0):
+                server, response = run_net(service, config, scenario)
         assert response.status == STATUS_SHED
+        assert response.id == 2 and response.session == "scene"
+        assert response.error.startswith("query 2 on session 'scene' ")
         assert "still shed after 2 resubmit(s)" in response.error
+        # The bound that refused it is the server's, not a service queue.
+        assert "queue full (depth 1)" in response.error
+        depths = [
+            event.queue_depth
+            for event in recorder.events
+            if type(event).__name__ == "QueryShedEvent"
+        ]
+        assert set(depths) == {1}
 
     def test_async_client_refuses_the_wildcard(self, service):
         async def scenario(server, host, port):

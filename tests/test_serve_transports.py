@@ -12,13 +12,14 @@ import json
 
 import pytest
 
-from repro.cli import _serve_daemon
+from repro.cli import _serve_daemon, main
 from repro.offline import capture_trace
 from repro.serve import (
     ALL_SESSIONS,
     MAX_LINE_BYTES,
     STATUS_ERROR,
     STATUS_OK,
+    NetConfig,
     NetServer,
     ProfilingService,
     ServiceConfig,
@@ -49,15 +50,15 @@ def _padded(doc, size: int) -> bytes:
     return text + b" " * (size - len(text)) + b"\n"
 
 
-def _daemon(service, data: bytes, capsys):
+def _daemon(service, data: bytes, capsys, max_line=MAX_LINE_BYTES):
     capsys.readouterr()
-    _serve_daemon(service, io.BytesIO(data))
+    _serve_daemon(service, io.BytesIO(data), max_line)
     return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
 
-def _tcp(service, data: bytes, capsys=None):
+def _tcp(service, data: bytes, capsys=None, max_line=MAX_LINE_BYTES):
     async def main():
-        server = NetServer(service)
+        server = NetServer(service, NetConfig(max_line_bytes=max_line))
         await server.start()
         try:
             reader, writer = await asyncio.open_connection(
@@ -120,12 +121,30 @@ def test_daemon_and_tcp_answer_the_same_stream_alike(scene_trace, sessions, caps
 
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
 def test_size_boundary_excludes_the_newline(scene_trace, transport, capsys):
-    data = _padded({"id": 1, "session": "a", "backend": "energy"}, MAX_LINE_BYTES)
-    data += _padded({"id": 2, "session": "a", "backend": "energy"}, MAX_LINE_BYTES + 1)
-    answered, refused = TRANSPORTS[transport](_fleet(scene_trace), data, capsys)
-    assert answered["id"] == 1 and answered["status"] == STATUS_OK
-    assert refused["id"] == 2 and refused["status"] == STATUS_ERROR
-    assert "maximum line size" in refused["error"]
+    for limit in (MAX_LINE_BYTES, 100):
+        data = _padded({"id": 1, "session": "a", "backend": "energy"}, limit)
+        data += _padded({"id": 2, "session": "a", "backend": "energy"}, limit + 1)
+        replies = TRANSPORTS[transport](_fleet(scene_trace), data, capsys, limit)
+        answered, refused = sorted(replies, key=lambda r: r["id"])
+        assert answered["id"] == 1 and answered["status"] == STATUS_OK
+        assert refused["id"] == 2 and refused["status"] == STATUS_ERROR
+        assert f"maximum line size ({limit} bytes)" in refused["error"]
+
+
+def test_max_line_bounds_the_queries_file(scene_trace, tmp_path, capsys):
+    trace = tmp_path / "a.json"
+    trace.write_text(scene_trace.to_json(), encoding="utf-8")
+    argv = ["serve", "--batch", str(trace), "--max-line", "100", "--queries"]
+    at_limit = tmp_path / "at.jsonl"
+    at_limit.write_bytes(_padded({"session": "a", "backend": "energy"}, 100))
+    assert main(argv + [str(at_limit)]) == 0
+    assert "1 answered" in capsys.readouterr().out
+    over = tmp_path / "over.jsonl"
+    over.write_bytes(_padded({"session": "a", "backend": "energy"}, 101))
+    assert main(argv + [str(over)]) == 2
+    assert "line 1: line exceeds the maximum line size (100 bytes)" in (
+        capsys.readouterr().err
+    )
 
 
 def test_overlong_comment_counts_toward_default_ids(scene_trace, capsys):
