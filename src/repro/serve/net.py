@@ -633,10 +633,12 @@ class AsyncServiceClient:
     :func:`repro.faults.retry.retry_rng`), so client-side backoff is as
     deterministic and analysable as every other retry site.
 
-    Responses are matched to requests by ``id``; the wildcard session
-    is expanded *server-side* with the id echoed once per session, so
-    :meth:`submit` (exactly-one-response semantics) refuses ``"*"`` —
-    use :meth:`query_raw_line` for wildcard fan-out.
+    Responses are matched to requests by ``id``, so one id is in flight
+    at a time: a query whose id is already pending waits for that
+    response before it is sent, and :meth:`submit_all` answers repeated
+    ids by position.  The wildcard session is expanded *server-side*
+    with the id echoed once per session, so :meth:`submit`
+    (exactly-one-response semantics) refuses ``"*"``.
     """
 
     def __init__(
@@ -702,7 +704,7 @@ class AsyncServiceClient:
                     data = json.loads(line.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue  # a torn/corrupted response line (chaos)
-                future = self._pending.get(int(data.get("id", -1)))
+                future = self._pending.pop(int(data.get("id", -1)), None)
                 if future is not None and not future.done():
                     future.set_result(data)
                 else:
@@ -716,6 +718,7 @@ class AsyncServiceClient:
             for future in self._pending.values():
                 if not future.done():
                     future.set_exception(failure)
+            self._pending.clear()
 
     def _take_id(self) -> int:
         qid = self._next_id
@@ -724,6 +727,12 @@ class AsyncServiceClient:
 
     async def _roundtrip(self, query: QueryRequest) -> QueryResponse:
         assert self._writer is not None
+        # The reader unregisters each future it settles, so a repeated
+        # id waits here until the earlier one's response is in.
+        while query.id in self._pending:
+            await asyncio.wait({self._pending[query.id]})
+        if self._read_task is not None and self._read_task.done():
+            raise ConnectionError("connection closed before a response arrived")
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[query.id] = future
         try:
@@ -733,7 +742,8 @@ class AsyncServiceClient:
             await self._writer.drain()
             data = await future
         finally:
-            self._pending.pop(query.id, None)
+            if self._pending.get(query.id) is future:
+                del self._pending[query.id]
         return QueryResponse.from_dict(data)
 
     async def submit(self, query: QueryRequest) -> QueryResponse:
@@ -764,7 +774,8 @@ class AsyncServiceClient:
     async def submit_all(
         self, queries: Sequence[QueryRequest]
     ) -> List[QueryResponse]:
-        """Submit concurrently; responses come back in request order."""
+        """Submit concurrently; ``responses[i]`` answers ``queries[i]``,
+        so ids may repeat."""
         return list(await asyncio.gather(*(self.submit(q) for q in queries)))
 
     async def query(

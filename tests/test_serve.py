@@ -1,11 +1,14 @@
 """The energy query service: ingestion, serving, caching, backpressure."""
 
+import asyncio
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.accounting import BatteryStats, PowerTutor
+from repro.faults import FaultPlan, FaultSpec, activate
+from repro.faults.retry import RetryPolicy
 from repro.offline import TraceFormatError, capture_trace
 from repro.reports import BACKENDS, ReportRequest
 from repro.serve import (
@@ -13,6 +16,9 @@ from repro.serve import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
+    AsyncServiceClient,
+    NetConfig,
+    NetServer,
     ProfilingService,
     QueryFailedError,
     QueryRequest,
@@ -39,6 +45,20 @@ def service(scene_trace):
     svc = ProfilingService(ServiceConfig(telemetry=False))
     svc.ingest_trace("scene", scene_trace, "test")
     return svc
+
+
+def _serve_tcp(service, config, scenario):
+    """Run ``scenario(host, port)`` against a NetServer; (server, result)."""
+
+    async def main():
+        server = NetServer(service, config)
+        await server.start()
+        try:
+            return server, await scenario(*server.address)
+        finally:
+            await server.shutdown()
+
+    return asyncio.run(main())
 
 
 class TestIngestion:
@@ -157,6 +177,29 @@ class TestServing:
         assert response.error == "queue full (depth 2); back off and resubmit"
         assert service.stats.received == service.stats.shed == 1
 
+    def test_shed_exhaustion_names_query_and_session(self, service):
+        """A still-shed response must say which query, where, how hard
+        the client tried — not a bare 'queue full'."""
+        client = ServiceClient(service)
+        queries = [
+            client.build("scene", "energy", start=float(i))[0] for i in range(3)
+        ]
+
+        async def scenario(host, port):
+            async with AsyncServiceClient(host, port, max_resubmits=0) as remote:
+                return await asyncio.wait_for(remote.submit_all(queries), 30)
+
+        # A server that admits no pending query sheds every attempt.
+        server, responses = _serve_tcp(service, NetConfig(max_pending=0), scenario)
+        assert [r.status for r in responses] == [STATUS_SHED] * 3
+        for query, response in zip(queries, responses):
+            assert response.id == query.id
+            assert response.error.startswith(
+                f"query {query.id} on session 'scene' still shed after "
+                "0 resubmit(s): queue full (depth 0)"
+            )
+        assert server.stats.shed == service.stats.shed == 3
+
     def test_manifest_shape(self, service):
         ServiceClient(service).query("scene", "energy")
         manifest = service.manifest()
@@ -192,6 +235,50 @@ class TestPositionalAnswers:
         ]
         expected = svc.sessions["a"].analyzer.describe(energy_a.report)
         assert responses[0].report == expected.to_dict()
+
+    def test_submit_all_resubmits_duplicate_ids_by_position(self, service):
+        """Over TCP a shed query is resubmitted, and queries that share
+        an id still get their answers by position."""
+        queries = [
+            QueryRequest(1, "scene", ReportRequest(backend))
+            for backend in ("energy", "eandroid", "collateral")
+        ]
+        policy = RetryPolicy(base_delay_s=0.4, multiplier=1.0, max_delay_s=1.0)
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="net.latency",
+                    kind="latency",
+                    probability=1.0,
+                    max_injections=1,
+                    delay_ms=500.0,
+                ),
+            )
+        )
+
+        async def scenario(host, port):
+            # A latency-injected query holds the one admission slot, so
+            # the first attempt is shed and resubmitted.
+            _, slow = await asyncio.open_connection(host, port)
+            slow.write(b'{"id": 9, "session": "scene", "backend": "energy"}\n')
+            await slow.drain()
+            await asyncio.sleep(0.05)
+            try:
+                async with AsyncServiceClient(host, port, policy=policy) as remote:
+                    return await asyncio.wait_for(remote.submit_all(queries), 30)
+            finally:
+                slow.close()
+
+        config = NetConfig(max_pending=1, pool_workers=1)
+        with activate(plan, seed=0):
+            server, responses = _serve_tcp(service, config, scenario)
+        assert server.stats.shed >= 1
+        assert [r.status for r in responses] == [STATUS_OK] * 3
+        assert [(r.id, r.report["backend"]) for r in responses] == [
+            (1, "energy"),
+            (1, "eandroid"),
+            (1, "collateral"),
+        ]
 
 
 class TestProtocol:
