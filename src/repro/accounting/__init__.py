@@ -1,7 +1,8 @@
 """Baseline energy profilers the paper compares E-Android against."""
 
+from .attribution import SCREEN_LABEL, SYSTEM_LABEL
 from .base import AppEnergyEntry, EnergyProfiler, ProfilerReport
-from .batterystats import SCREEN_LABEL, SYSTEM_LABEL, BatteryStats
+from .batterystats import BatteryStats
 from .power_signature import (
     PowerSignature,
     PowerSignatureDetector,

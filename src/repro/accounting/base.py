@@ -9,13 +9,14 @@ paper's entire subject:
 * PowerTutor: screen energy goes to the foreground app;
 * E-Android (:mod:`repro.core`): either baseline plus collateral
   attribution.
+
+The rules themselves live once, in :mod:`repro.accounting.attribution`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reports.request import ReportRequest
@@ -63,10 +64,12 @@ class ProfilerReport:
     end: float
     entries: List[AppEnergyEntry] = field(default_factory=list)
 
-    def finalize(self) -> "ProfilerReport":
-        """Sort rows by energy and compute percentages."""
+    def finalize(self, total: Optional[float] = None) -> "ProfilerReport":
+        """Sort rows by energy and compute percentages of ``total``
+        (default: the rows' own sum)."""
         self.entries.sort(key=lambda e: e.energy_j, reverse=True)
-        total = sum(e.energy_j for e in self.entries)
+        if total is None:
+            total = sum(e.energy_j for e in self.entries)
         for entry in self.entries:
             entry.percent = 100.0 * entry.energy_j / total if total > 0 else 0.0
         return self
@@ -114,53 +117,6 @@ class ProfilerReport:
             ):
                 lines.append(f"      +{source:<20} {joules:>9.2f} J (collateral)")
         return "\n".join(lines)
-
-
-class ReportCache:
-    """Finalized-entry memoization shared by every profiler.
-
-    Reports are pure functions of (underlying data version, query
-    window); profilers describe their data dependencies as a hashable
-    ``version`` (meter append epoch, foreground-timeline version,
-    collateral map-set version, ...) and the cache replays the finalized
-    entry rows when nothing they depend on has changed.  Entries are
-    copied in both directions, so callers may freely mutate the reports
-    they receive (E-Android's interface superimposes collateral onto the
-    baseline rows in place).
-    """
-
-    def __init__(self, max_windows: int = 8) -> None:
-        self._entries: "OrderedDict[Tuple[float, float], Tuple[Hashable, List[AppEnergyEntry]]]" = (
-            OrderedDict()
-        )
-        self._max_windows = max_windows
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self, version: Hashable, start: float, end: float
-    ) -> Optional[List[AppEnergyEntry]]:
-        """Fresh copies of the cached rows, or None on miss/staleness."""
-        cached = self._entries.get((start, end))
-        if cached is None or cached[0] != version:
-            self.misses += 1
-            return None
-        self._entries.move_to_end((start, end))
-        self.hits += 1
-        return [entry.copy() for entry in cached[1]]
-
-    def store(
-        self,
-        version: Hashable,
-        start: float,
-        end: float,
-        entries: List[AppEnergyEntry],
-    ) -> None:
-        """Record finalized rows for one (version, window)."""
-        self._entries[(start, end)] = (version, [entry.copy() for entry in entries])
-        self._entries.move_to_end((start, end))
-        if len(self._entries) > self._max_windows:
-            self._entries.popitem(last=False)
 
 
 class EnergyProfiler:

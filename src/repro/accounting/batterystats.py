@@ -1,27 +1,18 @@
-"""Android's official BatteryStats attribution policy.
+"""Android's official BatteryStats profiler on a live device.
 
-"Another policy is to treat screen as an independent part, where the
-energy consumed by screen is always displayed in total.  Such a method
-is used by the Android official battery interface." (§II)
-
-Per-app rows carry only the hardware energy the kernel can attribute to
-the uid (CPU time, radio traffic, camera/GPS/audio sessions).  Screen is
-one aggregate row; platform base draw is an "Android OS" row.  No IPC
-awareness whatsoever — which is what every attack in §III exploits.
+The rule is :func:`repro.accounting.attribution.direct_report`: screen
+and platform draw are standalone rows, apps carry their direct energy.
 """
 
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..power.meter import SCREEN_OWNER, SYSTEM_OWNER
-from .base import AppEnergyEntry, EnergyProfiler, ProfilerReport, ReportCache
+from .attribution import direct_report
+from .base import EnergyProfiler, ProfilerReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..android.framework import AndroidSystem
-
-SCREEN_LABEL = "Screen"
-SYSTEM_LABEL = "Android OS"
 
 
 class BatteryStats(EnergyProfiler):
@@ -32,48 +23,17 @@ class BatteryStats(EnergyProfiler):
 
     def __init__(self, system: "AndroidSystem") -> None:
         self._system = system
-        self._cache = ReportCache()
 
     def report(self, start: float = 0.0, end: Optional[float] = None) -> ProfilerReport:
-        """Per-app direct energy; screen and OS as standalone rows.
-
-        Incremental: finalized rows are memoized on the meter's append
-        epoch, so repeated snapshots of an unchanged window replay the
-        cached entries instead of re-integrating every channel.
-        """
+        """Per-app direct energy; screen and OS as standalone rows."""
         meter = self._system.hardware.meter
         pm = self._system.package_manager
         window_end = self._system.kernel.now if end is None else end
-        cached = self._cache.get(meter.epoch, start, window_end)
-        if cached is not None:
-            return ProfilerReport(
-                profiler=self.name, start=start, end=window_end, entries=cached
-            )
-        report = ProfilerReport(profiler=self.name, start=start, end=window_end)
-        for owner, energy in meter.energy_by_owner(start, window_end).items():
-            if energy <= 0:
-                continue
-            if owner == SCREEN_OWNER:
-                report.entries.append(
-                    AppEnergyEntry(
-                        uid=None, label=SCREEN_LABEL, energy_j=energy, is_screen=True
-                    )
-                )
-            elif owner == SYSTEM_OWNER:
-                report.entries.append(
-                    AppEnergyEntry(
-                        uid=None, label=SYSTEM_LABEL, energy_j=energy, is_system=True
-                    )
-                )
-            else:
-                report.entries.append(
-                    AppEnergyEntry(
-                        uid=owner,
-                        label=pm.label_for_uid(owner),
-                        energy_j=energy,
-                        is_system=pm.is_system_uid(owner),
-                    )
-                )
-        report.finalize()
-        self._cache.store(meter.epoch, start, window_end, report.entries)
-        return report
+        return direct_report(
+            self.name,
+            start,
+            window_end,
+            meter.energy_by_owner(start, window_end).items(),
+            pm.label_for_uid,
+            pm.is_system_uid,
+        )

@@ -1,28 +1,21 @@
-"""PowerTutor's attribution policy.
+"""PowerTutor's profiler on a live device.
 
-"The first [policy] is always to allocate the energy of screen to the
-foreground app, which is the center of interacting with users." (§II)
-
-Screen energy is split over time by the foreground timeline: each app is
-charged the panel energy drawn during the intervals it held the
-foreground.  All other channels attribute as in BatteryStats.  This is
-the policy attack #6 defeats — a background service's wakelock keeps the
-screen burning, and PowerTutor taxes the *foreground* app for it.
+The rule is :func:`repro.accounting.attribution.powertutor_report`:
+screen energy is split over the foreground timeline, every other
+channel attributes as in BatteryStats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..power.components import SCREEN
-from ..power.meter import SCREEN_OWNER, SYSTEM_OWNER
-from .base import AppEnergyEntry, EnergyProfiler, ProfilerReport, ReportCache
+from ..power.meter import SCREEN_OWNER
+from .attribution import powertutor_report
+from .base import EnergyProfiler, ProfilerReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..android.framework import AndroidSystem
-
-SYSTEM_LABEL = "System"
-UNATTRIBUTED_SCREEN_LABEL = "Screen (no foreground)"
 
 
 class PowerTutor(EnergyProfiler):
@@ -33,83 +26,20 @@ class PowerTutor(EnergyProfiler):
 
     def __init__(self, system: "AndroidSystem") -> None:
         self._system = system
-        self._cache = ReportCache()
 
     def report(self, start: float = 0.0, end: Optional[float] = None) -> ProfilerReport:
-        """Per-app direct energy plus foreground-interval screen shares.
-
-        Incremental: finalized rows are memoized on (meter append epoch,
-        foreground-timeline version) — the two inputs the attribution
-        depends on — so unchanged windows replay instead of rescanning
-        every channel and foreground interval.
-        """
+        """Per-app direct energy plus foreground-interval screen shares."""
         meter = self._system.hardware.meter
         pm = self._system.package_manager
-        timeline = self._system.am.timeline
         window_end = self._system.kernel.now if end is None else end
-        version = (meter.epoch, timeline.version)
-        cached = self._cache.get(version, start, window_end)
-        if cached is not None:
-            return ProfilerReport(
-                profiler=self.name, start=start, end=window_end, entries=cached
-            )
-
-        energies: Dict[int, float] = {}
-        system_energy = 0.0
-        for owner, energy in meter.energy_by_owner(start, window_end).items():
-            if energy <= 0:
-                continue
-            if owner == SYSTEM_OWNER:
-                system_energy += energy
-            elif owner != SCREEN_OWNER:
-                energies[owner] = energies.get(owner, 0.0) + energy
-
-        # Distribute screen energy over foreground intervals.
-        screen_trace = meter.trace(SCREEN_OWNER, SCREEN)
-        unattributed_screen = 0.0
-        if screen_trace is not None:
-            total_screen = screen_trace.energy_j(start, window_end)
-            attributed = 0.0
-            foreground_uids = {
-                uid for _, uid in timeline.changes() if uid is not None
-            }
-            for uid in foreground_uids:
-                share = sum(
-                    screen_trace.energy_j(seg_start, seg_end)
-                    for seg_start, seg_end in timeline.intervals(
-                        uid, start, window_end
-                    )
-                )
-                if share > 0:
-                    energies[uid] = energies.get(uid, 0.0) + share
-                    attributed += share
-            unattributed_screen = max(0.0, total_screen - attributed)
-
-        report = ProfilerReport(profiler=self.name, start=start, end=window_end)
-        for uid, energy in energies.items():
-            report.entries.append(
-                AppEnergyEntry(
-                    uid=uid,
-                    label=pm.label_for_uid(uid),
-                    energy_j=energy,
-                    is_system=pm.is_system_uid(uid),
-                )
-            )
-        if system_energy > 0:
-            report.entries.append(
-                AppEnergyEntry(
-                    uid=None, label=SYSTEM_LABEL, energy_j=system_energy, is_system=True
-                )
-            )
-        if unattributed_screen > 0:
-            report.entries.append(
-                AppEnergyEntry(
-                    uid=None,
-                    label=UNATTRIBUTED_SCREEN_LABEL,
-                    energy_j=unattributed_screen,
-                    is_screen=True,
-                )
-            )
-        report.finalize()
-        self._cache.store(version, start, window_end, report.entries)
-        return report
+        screen = meter.trace(SCREEN_OWNER, SCREEN)
+        return powertutor_report(
+            self.name,
+            start,
+            window_end,
+            meter.energy_by_owner(start, window_end).items(),
+            screen.energy_j if screen is not None else None,
+            self._system.am.timeline.changes(),
+            pm.label_for_uid,
+            pm.is_system_uid,
+        )

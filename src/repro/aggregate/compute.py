@@ -27,13 +27,12 @@ from typing import Dict, TYPE_CHECKING
 
 from ..power.meter import SCREEN_OWNER
 from ..reports.request import ReportRequest
+from ..telemetry.events import SCREEN_TARGET
 from .partial import GroupedPartial, HistogramPartial
 from .request import AggregateRequest, category_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..offline.analyzer import OfflineAnalyzer
-
-SCREEN_TARGET = -100  # matches repro.offline.analyzer.SCREEN_TARGET
 
 
 def session_values(

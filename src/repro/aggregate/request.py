@@ -32,6 +32,12 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..accounting.attribution import (
+    POWERTUTOR_SYSTEM_LABEL,
+    SCREEN_LABEL,
+    SYSTEM_LABEL,
+    UNATTRIBUTED_SCREEN_LABEL,
+)
 from ..reports.request import BACKENDS, UnknownBackendError
 
 #: Version tag stamped into every aggregate payload.
@@ -53,10 +59,10 @@ GROUP_BYS: Tuple[str, ...] = ("owner", "category", "mechanism")
 
 #: Labels the framework owns; they bypass the category hash.
 _SPECIAL_CATEGORIES = {
-    "Screen": "system_screen",
-    "Screen (no foreground)": "system_screen",
-    "Android OS": "system_os",
-    "System": "system_os",
+    SCREEN_LABEL: "system_screen",
+    UNATTRIBUTED_SCREEN_LABEL: "system_screen",
+    SYSTEM_LABEL: "system_os",
+    POWERTUTOR_SYSTEM_LABEL: "system_os",
 }
 
 

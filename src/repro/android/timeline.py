@@ -3,7 +3,8 @@
 Both PowerTutor (screen energy goes to the foreground app) and
 E-Android's wakelock/interrupt trackers need to know which uid held the
 foreground over any time window.  The ActivityManager appends to one
-:class:`ForegroundTimeline`; consumers query intervals.
+:class:`ForegroundTimeline`; consumers walk its :meth:`changes` with
+:func:`repro.accounting.attribution.foreground_spans`.
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ class ForegroundTimeline:
     def __init__(self) -> None:
         self._times: List[float] = []
         self._uids: List[Optional[int]] = []
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic change counter; keys the profilers' report caches."""
-        return self._version
 
     def record(self, time: float, uid: Optional[int]) -> None:
         """Append a foreground change at ``time``."""
@@ -32,15 +27,12 @@ class ForegroundTimeline:
                 f"timeline appends must be ordered: {time!r} after {self._times[-1]!r}"
             )
         if self._times and self._times[-1] == time:
-            if self._uids[-1] != uid:
-                self._uids[-1] = uid
-                self._version += 1
+            self._uids[-1] = uid
             return
         if self._uids and self._uids[-1] == uid:
             return
         self._times.append(time)
         self._uids.append(uid)
-        self._version += 1
 
     def uid_at(self, time: float) -> Optional[int]:
         """The foreground uid at an instant (None before first record)."""
@@ -53,28 +45,6 @@ class ForegroundTimeline:
     def current_uid(self) -> Optional[int]:
         """The most recently recorded foreground uid."""
         return self._uids[-1] if self._uids else None
-
-    def intervals(
-        self, uid: int, start: float, end: float
-    ) -> List[Tuple[float, float]]:
-        """Sub-intervals of [start, end) during which ``uid`` was foreground."""
-        if end < start:
-            raise ValueError(f"window end {end!r} before start {start!r}")
-        result: List[Tuple[float, float]] = []
-        if not self._times:
-            return result
-        index = max(0, bisect.bisect_right(self._times, start) - 1)
-        for i in range(index, len(self._times)):
-            seg_start = max(self._times[i], start)
-            seg_end = self._times[i + 1] if i + 1 < len(self._times) else end
-            seg_end = min(seg_end, end)
-            if seg_end <= seg_start:
-                continue
-            if self._uids[i] == uid:
-                result.append((seg_start, seg_end))
-            if seg_end >= end:
-                break
-        return result
 
     def changes(self) -> List[Tuple[float, Optional[int]]]:
         """The raw change list (copy)."""

@@ -130,32 +130,6 @@ def bench_kernel_dispatch(repeats: int) -> BenchMeasurement:
     return BenchMeasurement(times_s=times, metrics={"events": events})
 
 
-def bench_report_incremental(repeats: int) -> BenchMeasurement:
-    """Profiler snapshots on a live attack device (cached + dirtied)."""
-    from ..accounting import BatteryStats, PowerTutor
-    from ..workloads import ALL_ATTACKS
-
-    run = ALL_ATTACKS["attack1"](60.0)
-    battery_stats = BatteryStats(run.system)
-    powertutor = PowerTutor(run.system)
-    times: List[float] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for _ in range(40):
-            run.eandroid.report(run.start, run.end)
-            battery_stats.report(run.start, run.end)
-            powertutor.report(run.start, run.end)
-        times.append(time.perf_counter() - started)
-    meter = run.system.hardware.meter
-    return BenchMeasurement(
-        times_s=times,
-        metrics={
-            "reports_per_repeat": 120,
-            "meter_cache": dict(meter.query_cache_stats),
-        },
-    )
-
-
 def _bench_experiment(name: str, repeats: int, **params: Any) -> BenchMeasurement:
     """Time one registered experiment end to end (fresh device each run)."""
     from ..experiments.registry import get_spec, load_registry
@@ -777,12 +751,6 @@ for _order, _spec in enumerate(
             runner=bench_kernel_dispatch,
             kind="micro",
             description="event-queue schedule + dispatch throughput",
-        ),
-        BenchSpec(
-            name="report_incremental",
-            runner=bench_report_incremental,
-            kind="micro",
-            description="profiler report snapshots on a live attack device",
         ),
         BenchSpec(
             name="fig1_end_to_end",

@@ -239,15 +239,20 @@ def differential_reconciliation(
     """Reconcile BatteryStats, PowerTutor, and E-Android on one run.
 
     All three profilers read the same meter, so their *ground-truth*
-    totals must agree with the battery drain; E-Android's rows must be
-    exactly the baseline rows plus collateral superimposition; and the
-    superimposed collateral must match an **independent** recomputation
-    from the raw charge windows — two code paths arriving at the same
-    joules, which is what catches mis-attribution bugs of the kind the
-    paper ascribes to the baselines.
+    totals must agree with the battery drain; each PowerTutor row must
+    match an **independent** recomputation from the meter (the uid's own
+    energy plus the screen energy over its foreground spans, walked here
+    rather than through :mod:`repro.accounting.attribution`);
+    E-Android's rows must be exactly the baseline rows plus collateral
+    superimposition; and the superimposed collateral must match an
+    independent recomputation from the raw charge windows — two code
+    paths arriving at the same joules, which is what catches
+    mis-attribution bugs of the kind the paper ascribes to the baselines.
     """
     from ..accounting import BatteryStats, PowerTutor
     from ..core.links import SCREEN_TARGET
+    from ..power.components import SCREEN
+    from ..power.meter import SCREEN_OWNER, SYSTEM_OWNER
 
     out: List[OracleViolation] = []
     meter = system.hardware.meter
@@ -267,6 +272,29 @@ def differential_reconciliation(
             out.append(OracleViolation(
                 "differential",
                 f"{name} total {profiler_total!r} J != meter total {total!r} J",
+            ))
+
+    # PowerTutor rows vs own energy + foreground screen spans.
+    expected: Dict[int, float] = {
+        owner: meter.energy_j(owner=owner, end=now)
+        for owner, _ in meter.channels()
+        if owner not in (SCREEN_OWNER, SYSTEM_OWNER)
+    }
+    screen = meter.trace(SCREEN_OWNER, SCREEN)
+    changes = system.am.timeline.changes()
+    for index, (began, uid) in enumerate(changes):
+        ended = changes[index + 1][0] if index + 1 < len(changes) else now
+        if uid is not None and screen is not None and ended > began:
+            expected[uid] = expected.get(uid, 0.0) + screen.energy_j(began, ended)
+    rows = {e.uid: e.energy_j for e in powertutor.entries if e.uid is not None}
+    for uid in sorted(set(expected) | set(rows)):
+        a = rows.get(uid, 0.0)
+        b = expected.get(uid, 0.0)
+        if not _close(a, b, rel=DIFF_REL_TOL, abs_tol=DIFF_ABS_TOL):
+            out.append(OracleViolation(
+                "differential",
+                f"uid {uid}: PowerTutor row {a!r} J != own energy plus "
+                f"foreground screen {b!r} J",
             ))
 
     # E-Android = baseline + superimposed collateral, row by row.
@@ -331,21 +359,16 @@ def fastpath_equivalence(
 ) -> List[OracleViolation]:
     """The fast paths equal a naive recomputation, bit for bit (± 1e-9).
 
-    Three layers of caching sit between a query and the raw traces —
-    per-trace prefix sums, the meter's per-owner memo, and the
-    profilers' report caches.  This oracle recomputes each layer the
-    slow way on the same device state:
+    Two layers of caching sit between a query and the raw traces —
+    per-trace prefix sums and the meter's per-owner memo.  This oracle
+    recomputes each layer the slow way on the same device state:
 
     * every channel's ``energy_j`` vs its ``naive_energy_j`` O(B) walk;
     * ``energy_by_owner`` / per-owner ``energy_j`` vs the meter's
       full-rescan ``naive_*`` paths;
-    * each profiler's (possibly cached) report vs a fresh profiler
-      instance whose caches are stone cold;
     * reports served from a captured trace through the query service
       (:mod:`repro.serve`) vs the live profilers they must reproduce.
     """
-    from ..accounting import BatteryStats, PowerTutor
-
     meter = system.hardware.meter
     out: List[OracleViolation] = []
     now = system.now
@@ -382,26 +405,6 @@ def fastpath_equivalence(
                 f"over [{start!r}, {end!r})",
             ))
 
-    # Possibly-cached reports vs fresh instances with cold caches.
-    for cached_profiler, fresh_profiler in (
-        (BatteryStats(system), BatteryStats(system)),
-        (PowerTutor(system), PowerTutor(system)),
-    ):
-        warmed = cached_profiler.report()  # prime the cache...
-        warmed = cached_profiler.report()  # ...then read through it
-        cold = fresh_profiler.report()
-        warm_rows = {e.uid: e.energy_j for e in warmed.entries}
-        cold_rows = {e.uid: e.energy_j for e in cold.entries}
-        for uid in sorted(set(warm_rows) | set(cold_rows), key=repr):
-            a = warm_rows.get(uid, 0.0)
-            b = cold_rows.get(uid, 0.0)
-            if not _close(a, b, rel=DIFF_REL_TOL, abs_tol=ABS_TOL):
-                out.append(OracleViolation(
-                    "fastpath_equivalence",
-                    f"{cached_profiler.name} uid {uid!r}: cached report row "
-                    f"{a!r} J != cold recompute {b!r} J",
-                ))
-
     out.extend(_served_report_equivalence(system, ea))
     return out
 
@@ -413,10 +416,11 @@ def _served_report_equivalence(
 
     The query service answers every backend from an
     :class:`~repro.offline.OfflineAnalyzer` over a serialised
-    :class:`~repro.offline.DeviceTrace` — an entirely separate code path
-    from the live profilers (plus an LRU and the wire encoding).  Rows
-    are keyed by uid; aggregate rows (``uid is None``) carry fixed
-    per-backend labels, so those match on label.
+    :class:`~repro.offline.DeviceTrace` — the live profilers' rules fed
+    from the trace's data instead of the meter (plus the capture, an LRU
+    and the wire encoding).  Rows are keyed by uid; aggregate rows
+    (``uid is None``) carry fixed per-backend labels, so those match on
+    label.
 
     A second session, ``oracle-bin``, holds the *same* trace after a
     round trip through the columnar binary codec; every backend's

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from ..accounting.attribution import target_label
 from .accounting import EAndroidAccounting
-from .links import SCREEN_TARGET
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..android.framework import AndroidSystem
@@ -102,11 +102,7 @@ class CollateralEnergyDetector:
                 }
             )
             targets = {
-                (
-                    "Screen"
-                    if target == SCREEN_TARGET
-                    else pm.label_for_uid(target)
-                ): joules
+                target_label(target, pm.label_for_uid): joules
                 for target, joules in breakdown.items()
             }
             suspicions.append(

@@ -100,23 +100,19 @@ class CollateralEnergyMap:
             self._elements[target] = window
         return window
 
-    def open(self, target: int, time: float) -> bool:
-        """Open ``target``'s window; returns whether it was closed."""
+    def open(self, target: int, time: float) -> None:
+        """Open ``target``'s window (no-op while already open)."""
         window = self._elements.get(target)
         if window is None:
             window = self._elements[target] = ElementWindow(target=target)
         if window.open(time):
             self._open.add(target)
-            return True
-        return False
 
-    def close(self, target: int, time: float) -> bool:
-        """Close ``target``'s window; returns whether it was open."""
+    def close(self, target: int, time: float) -> None:
+        """Close ``target``'s window (no-op while already closed)."""
         window = self._elements.get(target)
         if window is not None and window.close(time):
             self._open.discard(target)
-            return True
-        return False
 
     def open_targets(self) -> Set[int]:
         """Targets currently accruing charge."""
@@ -226,18 +222,7 @@ class CollateralMapSet:
 
     def __init__(self) -> None:
         self._maps: Dict[int, CollateralEnergyMap] = {}
-        self._version = 0
         self._index = LiveIndex()
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter of window open/close events across all maps.
-
-        Keys the E-Android interface's report cache: an unchanged
-        version (plus an unchanged meter epoch) means every collateral
-        charge is bit-identical to the previous snapshot of the window.
-        """
-        return self._version
 
     def map_for(self, host_uid: int) -> CollateralEnergyMap:
         """The map of one host (created on demand)."""
@@ -310,9 +295,7 @@ class CollateralMapSet:
         if reachable == open_now:
             return False
         for target in reachable - open_now:
-            if host_map.open(target, now):
-                self._version += 1
+            host_map.open(target, now)
         for target in open_now - reachable:
-            if host_map.close(target, now):
-                self._version += 1
+            host_map.close(target, now)
         return True

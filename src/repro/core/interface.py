@@ -13,21 +13,20 @@ each app's collateral energy onto its row:
 Percentages are computed against the device's ground-truth total for the
 window, so a malware row can legitimately show a large share while the
 direct consumers still appear — collateral energy is *superimposed*, not
-moved (§IV-B).
+moved (§IV-B).  The rule is :func:`repro.accounting.attribution.superimpose`,
+shared with the offline analyzer.
 """
 
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..accounting.base import AppEnergyEntry, EnergyProfiler, ProfilerReport, ReportCache
+from ..accounting.attribution import superimpose
+from ..accounting.base import AppEnergyEntry, EnergyProfiler, ProfilerReport
 from .accounting import EAndroidAccounting
-from .links import SCREEN_TARGET
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..android.framework import AndroidSystem
-
-SCREEN_SOURCE_LABEL = "Screen"
 
 
 class EAndroidBatteryInterface(EnergyProfiler):
@@ -44,69 +43,24 @@ class EAndroidBatteryInterface(EnergyProfiler):
         self._system = system
         self._baseline = baseline
         self._accounting = accounting
-        self._cache = ReportCache()
         self.name = f"E-Android (revised {baseline.name})"
 
-    def _version(self) -> tuple:
-        """Everything the revised view depends on: the meter's append
-        epoch, the foreground timeline (for the PowerTutor baseline),
-        the collateral window set, and the charge policy."""
-        return (
-            self._system.hardware.meter.epoch,
-            self._system.am.timeline.version,
-            self._accounting.maps.version,
-            self._accounting._policy_token,
-        )
-
     def report(self, start: float = 0.0, end: Optional[float] = None) -> ProfilerReport:
-        """Baseline view with collateral charges added to driving apps.
-
-        Incremental: the finalized superimposed rows are memoized on
-        :meth:`_version`, so an unchanged window replays the cached
-        entries; on a miss the baseline rows and every unchanged
-        collateral charge still come from the lower-level caches.
-        """
+        """Baseline view with collateral charges added to driving apps,
+        ranked and taken as percentages of the window's ground truth."""
         window_end = self._system.kernel.now if end is None else end
-        version = self._version()
-        cached = self._cache.get(version, start, window_end)
-        if cached is not None:
-            return ProfilerReport(
-                profiler=self.name, start=start, end=window_end, entries=cached
-            )
         report = self._baseline.report(start, window_end)
         report.profiler = self.name
-        pm = self._system.package_manager
-
-        for host in self._accounting.hosts():
-            breakdown = self._accounting.collateral_breakdown(host, start, window_end)
-            if not breakdown:
-                continue
-            entry = report.entry_for_uid(host)
-            if entry is None:
-                entry = AppEnergyEntry(
-                    uid=host, label=pm.label_for_uid(host), energy_j=0.0
-                )
-                report.entries.append(entry)
-            for target, joules in breakdown.items():
-                label = (
-                    SCREEN_SOURCE_LABEL
-                    if target == SCREEN_TARGET
-                    else pm.label_for_uid(target)
-                )
-                entry.collateral_j[label] = entry.collateral_j.get(label, 0.0) + joules
-                entry.energy_j += joules
-
-        # Re-rank including collateral; percentages against ground truth.
-        report.entries.sort(key=lambda e: e.energy_j, reverse=True)
-        ground_truth = self._system.hardware.meter.total_energy_j(
-            start=start, end=window_end
+        accounting = self._accounting
+        return superimpose(
+            report,
+            (
+                (host, accounting.collateral_breakdown(host, start, window_end))
+                for host in accounting.hosts()
+            ),
+            self._system.package_manager.label_for_uid,
+            self._system.hardware.meter.total_energy_j(start=start, end=window_end),
         )
-        for entry in report.entries:
-            entry.percent = (
-                100.0 * entry.energy_j / ground_truth if ground_truth > 0 else 0.0
-            )
-        self._cache.store(version, start, window_end, report.entries)
-        return report
 
     def detailed_inventory(
         self, uid: int, start: float = 0.0, end: Optional[float] = None

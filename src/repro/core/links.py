@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set
 
-SCREEN_TARGET = -100
-"""Pseudo-target for screen-directed attacks (same id as the meter's
-SCREEN_OWNER, so energy lookups are uniform)."""
+from ..telemetry.events import SCREEN_TARGET
 
 
 class AttackKind(Enum):

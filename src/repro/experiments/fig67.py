@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List
 
-from ..core.links import SCREEN_TARGET, AttackLink
+from ..accounting.attribution import target_label
+from ..core.links import AttackLink
 from ..workloads.scenarios import ScenarioRun, run_hybrid_attack, run_multi_attack
 from .registry import ExperimentResultMixin, ExperimentSpec, register
 from .tables import render_table
@@ -131,12 +132,12 @@ def run_fig7() -> Fig7Result:
     run = run_hybrid_attack()
     malware = int(run.notes["malware_uid"])
     pm = run.system.package_manager
-    breakdown = {}
-    for target, joules in run.eandroid.accounting.collateral_breakdown(
-        malware
-    ).items():
-        label = "Screen" if target == SCREEN_TARGET else pm.label_for_uid(target)
-        breakdown[label] = joules
+    breakdown = {
+        target_label(target, pm.label_for_uid): joules
+        for target, joules in run.eandroid.accounting.collateral_breakdown(
+            malware
+        ).items()
+    }
     return Fig7Result(run=run, root_breakdown=breakdown)
 
 

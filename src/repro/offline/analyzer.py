@@ -10,26 +10,29 @@ the analyzer re-derives each profiler's battery view:
 * :meth:`OfflineAnalyzer.eandroid_report` — the baseline plus collateral
   charges integrated over the recorded attack-link windows.
 
-The invariant (tested): for any run, the offline reports equal the
-online ones to numerical precision.  That makes traces a complete,
-portable record — the "offline analysis" form of the paper's system.
+The rules are the live profilers' own (:mod:`repro.accounting.attribution`);
+the analyzer supplies only the trace's data.  The invariant (tested): for
+any run, the offline reports equal the online ones to numerical precision.
+That makes traces a complete, portable record — the "offline analysis"
+form of the paper's system.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from ..accounting.base import AppEnergyEntry, ProfilerReport
-from ..power.meter import SCREEN_OWNER, SYSTEM_OWNER
+from ..accounting.attribution import direct_report, powertutor_report, superimpose
+from ..accounting.base import ProfilerReport
+from ..power.components import SCREEN
+from ..power.meter import SCREEN_OWNER
 from ..power.trace import PowerTrace
+from ..telemetry.events import SCREEN_TARGET
 from .trace import DeviceTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reports.request import ReportRequest
     from ..reports.view import ProfilerReportView
-
-SCREEN_TARGET = -100  # matches repro.core.links.SCREEN_TARGET
 
 
 class OfflineAnalyzer:
@@ -72,18 +75,13 @@ class OfflineAnalyzer:
         """Display label for a uid from the trace's app table."""
         return self.trace.apps.get(uid, f"uid:{uid}")
 
-    def _foreground_intervals(
-        self, uid: int, start: float, end: float
-    ) -> List[Tuple[float, float]]:
-        changes = self.trace.foreground
-        result: List[Tuple[float, float]] = []
-        for index, (t, owner) in enumerate(changes):
-            seg_start = max(t, start)
-            seg_end = changes[index + 1][0] if index + 1 < len(changes) else end
-            seg_end = min(seg_end, end)
-            if owner == uid and seg_end > seg_start:
-                result.append((seg_start, seg_end))
-        return result
+    def _is_system(self, uid: int) -> bool:
+        return uid in self.trace.system_uids
+
+    def _owner_energies(self, start: float, end: float) -> Iterator[Tuple[int, float]]:
+        """``(owner, joules)`` for every owner in the trace, lazily."""
+        for owner in self.owners():
+            yield owner, self.energy_j(owner=owner, start=start, end=end)
 
     # ------------------------------------------------------------------
     # profiler reconstructions
@@ -91,31 +89,16 @@ class OfflineAnalyzer:
     def _direct_report(
         self, profiler: str, start: float, end: Optional[float]
     ) -> ProfilerReport:
-        """One row per owner's direct energy; Screen and Android OS
-        keep their aggregate labels, every app keeps its uid."""
+        """The BatteryStats rule over the trace's channels."""
         window_end = self.trace.captured_at if end is None else end
-        report = ProfilerReport(profiler=profiler, start=start, end=window_end)
-        for owner in self.owners():
-            energy = self.energy_j(owner=owner, start=start, end=window_end)
-            if energy <= 0:
-                continue
-            if owner == SCREEN_OWNER:
-                entry = AppEnergyEntry(
-                    uid=None, label="Screen", energy_j=energy, is_screen=True
-                )
-            elif owner == SYSTEM_OWNER:
-                entry = AppEnergyEntry(
-                    uid=None, label="Android OS", energy_j=energy, is_system=True
-                )
-            else:
-                entry = AppEnergyEntry(
-                    uid=owner,
-                    label=self.label_for(owner),
-                    energy_j=energy,
-                    is_system=owner in self.trace.system_uids,
-                )
-            report.entries.append(entry)
-        return report.finalize()
+        return direct_report(
+            profiler,
+            start,
+            window_end,
+            self._owner_energies(start, window_end),
+            self.label_for,
+            self._is_system,
+        )
 
     def batterystats_report(
         self, start: float = 0.0, end: Optional[float] = None
@@ -128,58 +111,17 @@ class OfflineAnalyzer:
     ) -> ProfilerReport:
         """The PowerTutor view, from the trace alone."""
         window_end = self.trace.captured_at if end is None else end
-        report = ProfilerReport(
-            profiler="PowerTutor (offline)", start=start, end=window_end
+        screen = self._channels.get((SCREEN_OWNER, SCREEN))
+        return powertutor_report(
+            "PowerTutor (offline)",
+            start,
+            window_end,
+            self._owner_energies(start, window_end),
+            screen.energy_j if screen is not None else None,
+            self.trace.foreground,
+            self.label_for,
+            self._is_system,
         )
-        energies: Dict[int, float] = {}
-        system_energy = 0.0
-        for owner in self.owners():
-            energy = self.energy_j(owner=owner, start=start, end=window_end)
-            if energy <= 0:
-                continue
-            if owner == SYSTEM_OWNER:
-                system_energy += energy
-            elif owner != SCREEN_OWNER:
-                energies[owner] = energies.get(owner, 0.0) + energy
-        screen_channel = self._channels.get((SCREEN_OWNER, "screen"))
-        unattributed = 0.0
-        if screen_channel is not None:
-            total_screen = screen_channel.energy_j(start, window_end)
-            attributed = 0.0
-            for uid in {u for _, u in self.trace.foreground if u is not None}:
-                share = sum(
-                    screen_channel.energy_j(s, e)
-                    for s, e in self._foreground_intervals(uid, start, window_end)
-                )
-                if share > 0:
-                    energies[uid] = energies.get(uid, 0.0) + share
-                    attributed += share
-            unattributed = max(0.0, total_screen - attributed)
-        for uid, energy in energies.items():
-            report.entries.append(
-                AppEnergyEntry(
-                    uid=uid,
-                    label=self.label_for(uid),
-                    energy_j=energy,
-                    is_system=uid in self.trace.system_uids,
-                )
-            )
-        if system_energy > 0:
-            report.entries.append(
-                AppEnergyEntry(
-                    uid=None, label="System", energy_j=system_energy, is_system=True
-                )
-            )
-        if unattributed > 0:
-            report.entries.append(
-                AppEnergyEntry(
-                    uid=None,
-                    label="Screen (no foreground)",
-                    energy_j=unattributed,
-                    is_screen=True,
-                )
-            )
-        return report.finalize()
 
     # ------------------------------------------------------------------
     # E-Android offline
@@ -307,45 +249,33 @@ class OfflineAnalyzer:
         start: float,
         end: float,
         hosts: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        """Add each driving host's collateral charges to its row (made
-        if missing); ``hosts`` restricts which driving uids are charged."""
+        total: Optional[float] = None,
+    ) -> ProfilerReport:
+        """The E-Android superimposition over the trace's link windows;
+        ``hosts`` restricts which driving uids are charged."""
         windows = self._link_windows(start, end)
-        for host in sorted({l.driving_uid for l in self.trace.links}):
-            if hosts is not None and host not in hosts:
-                continue
-            breakdown = self._breakdown(windows.get(host, {}))
-            if not breakdown:
-                continue
-            entry = report.entry_for_uid(host)
-            if entry is None:
-                entry = AppEnergyEntry(
-                    uid=host, label=self.label_for(host), energy_j=0.0
-                )
-                report.entries.append(entry)
-            for target, joules in breakdown.items():
-                label = (
-                    "Screen" if target == SCREEN_TARGET else self.label_for(target)
-                )
-                entry.collateral_j[label] = (
-                    entry.collateral_j.get(label, 0.0) + joules
-                )
-                entry.energy_j += joules
+        return superimpose(
+            report,
+            (
+                (host, self._breakdown(windows.get(host, {})))
+                for host in sorted({l.driving_uid for l in self.trace.links})
+                if hosts is None or host in hosts
+            ),
+            self.label_for,
+            total,
+        )
 
     def eandroid_report(
         self, start: float = 0.0, end: Optional[float] = None
     ) -> ProfilerReport:
         """The revised (BatteryStats-based) E-Android view, offline."""
         window_end = self.trace.captured_at if end is None else end
-        report = self._direct_report("E-Android (offline)", start, window_end)
-        self._superimpose(report, start, window_end)
-        report.entries.sort(key=lambda e: e.energy_j, reverse=True)
-        ground_truth = self.energy_j(start=start, end=window_end)
-        for entry in report.entries:
-            entry.percent = (
-                100.0 * entry.energy_j / ground_truth if ground_truth > 0 else 0.0
-            )
-        return report
+        return self._superimpose(
+            self._direct_report("E-Android (offline)", start, window_end),
+            start,
+            window_end,
+            total=self.energy_j(start=start, end=window_end),
+        )
 
     # ------------------------------------------------------------------
     # raw-energy / collateral report forms (for the unified API)
@@ -377,8 +307,7 @@ class OfflineAnalyzer:
         report = ProfilerReport(
             profiler="Collateral (offline)", start=start, end=window_end
         )
-        self._superimpose(report, start, window_end, hosts)
-        return report.finalize()
+        return self._superimpose(report, start, window_end, hosts)
 
     def describe(self, request: "ReportRequest") -> "ProfilerReportView":
         """Answer a typed request — any of the five backends, offline.

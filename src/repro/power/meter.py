@@ -117,7 +117,7 @@ class EnergyMeter:
         self._listeners.append(listener)
 
     # ------------------------------------------------------------------
-    # epochs (cache keys for the profiler layers)
+    # epochs (cache keys for the memos above the meter)
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:

@@ -421,6 +421,12 @@ class TimerFiredEvent(TelemetryEvent):
 # ----------------------------------------------------------------------
 # attack windows (E-Android accounting)
 # ----------------------------------------------------------------------
+SCREEN_TARGET = -100
+"""Pseudo-target of screen-directed attack links (same id as the meter's
+SCREEN_OWNER, so energy lookups are uniform).  Defined here, below every
+layer that reads link targets, so all of them import this one value."""
+
+
 @dataclass(frozen=True)
 class AttackWindowBeginEvent(TelemetryEvent):
     """An attack link opened (collateral window begins)."""

@@ -25,6 +25,7 @@ from .events import (
     AttackWindowEndEvent,
     PhaseBeginEvent,
     PhaseEndEvent,
+    SCREEN_TARGET,
     TelemetryEvent,
 )
 
@@ -33,8 +34,6 @@ PathLike = Union[str, Path]
 DEVICE_PID = 1
 TIMELINE_TRACK = "timeline"
 
-_SCREEN_TARGET = -100  # matches repro.core.links.SCREEN_TARGET
-
 
 def _us(seconds: float) -> int:
     """Virtual seconds -> integer trace microseconds."""
@@ -42,7 +41,7 @@ def _us(seconds: float) -> int:
 
 
 def _target_label(target: int, labels: Dict[int, str]) -> str:
-    if target == _SCREEN_TARGET:
+    if target == SCREEN_TARGET:
         return "screen"
     return labels.get(target, f"uid {target}")
 

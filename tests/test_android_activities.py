@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.accounting.attribution import foreground_spans
 from repro.android import (
     ActivityNotFoundError,
     ActivityState,
@@ -183,8 +184,8 @@ class TestForegroundTimeline:
         system.press_home()
         system.run_for(10.0)
         uid = system.uid_of("com.alpha")
-        intervals = system.am.timeline.intervals(uid, 0.0, 30.0)
-        assert intervals == [(10.0, 20.0)]
+        spans = foreground_spans(system.am.timeline.changes(), 0.0, 30.0)
+        assert [(s, e) for s, e, owner in spans if owner == uid] == [(10.0, 20.0)]
 
     def test_foreground_observer_cause(self, system):
         from repro.telemetry import ForegroundChangedEvent

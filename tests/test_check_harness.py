@@ -240,6 +240,35 @@ class TestMutationSelfCheck:
         )
         assert run_scenario(replayed, metamorphic=False).passed
 
+    def test_differential_catches_screen_given_to_wrong_uid(self, monkeypatch):
+        # The PowerTutor rule is shared by the live profiler and the
+        # offline analyzer, so only the oracle's own walk of the
+        # foreground timeline can tell when it blames the wrong app.
+        from repro.accounting import attribution
+        from repro.check.oracles import differential_reconciliation
+        from repro.core import attach_eandroid
+
+        from helpers import booted_system, make_app
+
+        system = booted_system(make_app("com.alpha"), make_app("com.beta"))
+        ea = attach_eandroid(system)
+        system.launch_app("com.alpha")
+        system.run_for(10.0)
+        system.launch_app("com.beta")
+        system.run_for(10.0)
+        assert differential_reconciliation(system, ea) == []
+
+        beta = system.uid_of("com.beta")
+        spans = attribution.foreground_spans
+
+        def all_to_beta(foreground, start, end):
+            for span_start, span_end, uid in spans(foreground, start, end):
+                yield span_start, span_end, beta if uid is not None else None
+
+        monkeypatch.setattr(attribution, "foreground_spans", all_to_beta)
+        messages = [v.message for v in differential_reconciliation(system, ea)]
+        assert any("PowerTutor row" in m for m in messages), messages
+
     def test_oracle_catalogue_names(self):
         # The docs/TESTING.md catalogue and the code must agree.
         from repro.check import END_ORACLES, STEP_ORACLES

@@ -1,11 +1,10 @@
 """Fast path == naive recompute, property-tested at every layer.
 
-The PR that introduced prefix-sum traces, the meter's per-owner memo,
-and the profilers' report caches kept every original implementation
-alive as a ``naive_*`` twin.  These tests hold the pairs equal — exact
-or within 1e-9 J — over hypothesis-generated traces, meter histories,
-and the fuzz generator's full device scenarios (where the shared
-``fastpath_equivalence`` end oracle does the comparing).
+Prefix-sum traces and the meter's per-owner memo keep their original
+implementations alive as ``naive_*`` twins.  These tests hold the pairs
+equal — exact or within 1e-9 J — over hypothesis-generated traces, meter
+histories, and the fuzz generator's full device scenarios (where the
+shared ``fastpath_equivalence`` end oracle does the comparing).
 """
 
 import math
@@ -139,7 +138,7 @@ class TestScenarioEquivalence:
         from repro.workloads import ALL_ATTACKS
 
         run = ALL_ATTACKS["attack1"](60.0)
-        run.eandroid.report(run.start, run.end)  # warm the report caches
+        run.eandroid.report(run.start, run.end)  # warm the meter's memo
         violations = check_end(
             run.system, run.eandroid, oracles=["fastpath_equivalence"]
         )

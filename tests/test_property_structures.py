@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.accounting.attribution import foreground_spans
 from repro.android import AndroidManifest, ComponentDecl, ComponentKind, IntentFilterDecl
 from repro.android.timeline import ForegroundTimeline
 from repro.core import AttackKind, LinkGraph
@@ -14,6 +15,12 @@ from repro.sim import Kernel
 # ----------------------------------------------------------------------
 # ForegroundTimeline
 # ----------------------------------------------------------------------
+def foreground_intervals(changes, uid, start, end):
+    """``uid``'s foreground spans of [start, end), from the shared walk."""
+    spans = foreground_spans(changes, start, end)
+    return [(span_start, span_end) for span_start, span_end, owner in spans if owner == uid]
+
+
 @st.composite
 def timelines(draw):
     count = draw(st.integers(min_value=1, max_value=20))
@@ -47,7 +54,7 @@ class TestTimelineProperties:
         uid = timeline.uid_at(probe)
         if uid is None:
             return
-        intervals = timeline.intervals(uid, 0.0, 1001.0)
+        intervals = foreground_intervals(timeline.changes(), uid, 0.0, 1001.0)
         assert any(start <= probe < end for start, end in intervals) or any(
             start <= probe for start, end in intervals if end == 1001.0
         )
@@ -59,7 +66,7 @@ class TestTimelineProperties:
         uids = {uid for _, uid in changes if uid is not None}
         all_intervals = []
         for uid in uids:
-            intervals = timeline.intervals(uid, 0.0, 2000.0)
+            intervals = foreground_intervals(changes, uid, 0.0, 2000.0)
             for start, end in intervals:
                 assert start < end
             all_intervals.extend(intervals)
@@ -89,7 +96,7 @@ class TestTimelineProperties:
         timeline = ForegroundTimeline()
         timeline.record(0.0, 1)
         with pytest.raises(ValueError):
-            timeline.intervals(1, 5.0, 1.0)
+            list(foreground_spans(timeline.changes(), 5.0, 1.0))
 
 
 # ----------------------------------------------------------------------
