@@ -386,7 +386,11 @@ def bench_serve_net_throughput(repeats: int) -> BenchMeasurement:
 
 
 def bench_serve_net_latency(repeats: int) -> BenchMeasurement:
-    """Single-client round-trip latency over localhost TCP (warm LRU)."""
+    """Single-client round-trip latency over localhost TCP.
+
+    ``times_s`` times a pass over a warm LRU (all hits); each repeat
+    then clears the LRU and times one cold pass (all misses).
+    """
     import asyncio
 
     from ..serve import AsyncServiceClient, NetConfig, NetServer
@@ -394,7 +398,13 @@ def bench_serve_net_latency(repeats: int) -> BenchMeasurement:
     service, client = _build_serve_service()
     queries = _serve_query_mix(client, count=50)
 
-    async def one_pass() -> float:
+    async def timed_pass(conn) -> float:
+        started = time.perf_counter()
+        for query in queries:
+            await conn.submit(query)
+        return time.perf_counter() - started
+
+    async def one_pass() -> Tuple[float, float]:
         server = NetServer(service, NetConfig(pool_workers=1))
         await server.start()
         host, port = server.address
@@ -402,24 +412,28 @@ def bench_serve_net_latency(repeats: int) -> BenchMeasurement:
             async with AsyncServiceClient(host, port) as conn:
                 for query in queries:  # warm the LRU once
                     await conn.submit(query)
-                started = time.perf_counter()
-                for query in queries:
-                    await conn.submit(query)
-                elapsed = time.perf_counter() - started
+                warm = await timed_pass(conn)
+                service.cache.clear()
+                cold = await timed_pass(conn)
         finally:
             await server.shutdown()
-        return elapsed
+        return warm, cold
 
     times: List[float] = []
+    cold_times: List[float] = []
     for _ in range(repeats):
-        times.append(asyncio.run(one_pass()))
+        warm, cold = asyncio.run(one_pass())
+        times.append(warm)
+        cold_times.append(cold)
     median = sorted(times)[len(times) // 2]
+    median_cold = sorted(cold_times)[len(cold_times) // 2]
     per_query = len(queries) or 1
     return BenchMeasurement(
         times_s=times,
         metrics={
             "queries": per_query,
             "warm_us_per_query": median / per_query * 1e6,
+            "cold_us_per_query": median_cold / per_query * 1e6,
         },
     )
 

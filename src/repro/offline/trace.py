@@ -37,6 +37,19 @@ class TraceFormatError(ValueError):
     """
 
 
+def check_foreground(foreground: List[Tuple[float, Optional[int]]]) -> None:
+    """Refuse a foreground change list whose times go backwards.
+
+    Attribution walks the list as consecutive spans, so a step back in
+    time would charge overlapping spans twice.  Equal times are allowed.
+    """
+    for (before, _), (after, _) in zip(foreground, foreground[1:]):
+        if after < before:
+            raise TraceFormatError(
+                f"foreground changes go back in time ({after!r} after {before!r})"
+            )
+
+
 @dataclass
 class ChannelTrace:
     """One (owner, component) power channel's breakpoints."""
@@ -128,7 +141,7 @@ class DeviceTrace:
                 f"(expected {TRACE_FORMAT_VERSION})"
             )
         try:
-            return DeviceTrace(
+            trace = DeviceTrace(
                 captured_at=float(data["captured_at"]),
                 battery_capacity_j=float(data.get("battery_capacity_j", 0.0)),
                 apps={int(uid): label for uid, label in data.get("apps", {}).items()},
@@ -169,6 +182,8 @@ class DeviceTrace:
                 f"trace document is truncated or malformed: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+        check_foreground(trace.foreground)
+        return trace
 
     def to_bytes(self, binary: bool = True) -> bytes:
         """Serialise to bytes: the columnar binary format, or JSON utf-8."""

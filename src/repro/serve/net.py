@@ -21,25 +21,33 @@ Design (every guarantee here is pinned by ``tests/test_serve_net.py``):
   sender.  A slowloris writer or a mid-line disconnect affects only its
   own connection.
 * **Write backpressure.**  Responses flow through a bounded per-
-  connection outbound queue drained by a single writer task: each
-  wake-up takes every line already queued, writes them in one
-  ``write`` and ``await``\\ s one ``drain()``; a client that stops
-  reading stalls only its own pipeline.
-* **Warm hits inline.**  A query whose answer is already in the
-  service's result LRU is answered on the event loop itself — no
-  executor hop — when no fault plane is armed and the service lock is
-  free at that instant.  Everything else (misses, aggregates, any query
-  while a plane is armed) goes to the thread pool and runs under the
-  service lock.  Either way the response is encoded by
-  :func:`~repro.serve.protocol.encode_response_line`, which reuses a
-  cached report's JSON text.
-* **Admission control.**  Queries admitted while the server-wide
-  pending count is at :attr:`NetConfig.max_pending` are refused with an
-  explicit ``status: shed`` response through
-  :meth:`~repro.serve.service.ProfilingService.shed`, keeping the
-  service-wide ``received == answered + errors + shed`` invariant.
-* **Deadlines.**  Every admitted query carries a deadline stamped at
-  admission; a query that cannot produce its answer in
+  connection outbound queue drained by a single writer task.  A read
+  chunk's inline answers go in as one item; each wake-up of the writer
+  takes every item already queued, writes their lines in one ``write``
+  and ``await``\\ s one ``drain()``; a client that stops reading stalls
+  only its own pipeline.
+* **Queries answered inline.**  A query is answered on the event loop
+  itself — hit or miss, no executor hop — whenever that needs no
+  waiting: no fault plane is armed, the query's session is not spilled
+  (a fault-in reads the store and may back off), and the service lock
+  is free at that instant.  The pool buys no parallelism here:
+  the GIL and the service lock serialise all service work, and a pool
+  hop costs more CPU than most misses.  After an inline miss the read
+  loop yields, so a connection streaming misses cannot starve the
+  others.  Everything else (aggregates, spilled sessions, any query
+  while the lock is held or a plane is armed) goes to the thread
+  pool and runs under the service lock.  Either way the response is
+  encoded by :func:`~repro.serve.protocol.encode_response_line`, which
+  reuses a cached report's JSON text.
+* **Admission control.**  Only pool work is admitted: a query that
+  arrives while the server-wide pending count is at
+  :attr:`NetConfig.max_pending` is refused with an explicit
+  ``status: shed`` response through
+  :meth:`~repro.serve.service.ProfilingService.shed` (shedding comes
+  before any inline answer), keeping the service-wide
+  ``received == answered + errors + shed`` invariant.
+* **Deadlines.**  Every query admitted to the pool carries a deadline
+  stamped at admission; a query that cannot produce its answer in
   :attr:`NetConfig.deadline_s` comes back as a typed ``error`` naming
   the query and session — the connection never hangs.  A pool thread
   checks the deadline again before any service work, so expired work
@@ -262,8 +270,9 @@ class NetServer:
         self._closing = False
         self._executor: Optional[ThreadPoolExecutor] = None
         # The service is not thread-safe (stats, LRU): the pool threads
-        # and inline hits serialise on this lock; the pool still overlaps
-        # deadline waits and injected latency, which sleep before it.
+        # and inline answers serialise on this lock; the pool still
+        # overlaps deadline waits and injected latency, which sleep
+        # before it.
         self._service_lock = threading.Lock()
         self._bus = service.bus
 
@@ -385,6 +394,9 @@ class NetServer:
             except (OSError, RuntimeError):
                 self.stats.read_errors += 1
                 break  # injected read failure: the peer sees the close
+            # The chunk's inline answers and error lines, in order: they
+            # go out as one outbound item (see _admit for the flushes).
+            batch: List[str] = []
             for kind, line in assembler.feed(chunk):
                 if kind == "oversized":
                     self.stats.oversized += 1
@@ -397,29 +409,42 @@ class NetServer:
                 if decoded.kind == "error":
                     self.stats.errors += 1
                     self.stats.parse_errors += kind != "oversized"
-                    await self._enqueue(conn, error_line(decoded.id, decoded.error))
+                    batch.append(reply_line(error_line(decoded.id, decoded.error)))
                     continue
                 for item in work_items(decoded, self.service.sessions):
-                    await self._admit(conn, item)
+                    await self._admit(conn, item, batch)
+            await self._flush(conn, batch)
 
-    async def _admit(self, conn: _Connection, item: WorkItem) -> None:
-        """Admission control + read backpressure for one work item."""
+    async def _admit(
+        self, conn: _Connection, item: WorkItem, batch: List[str]
+    ) -> None:
+        """Shed, answer inline into ``batch``, or admit to the pool.
+
+        ``batch`` is flushed before a shed or a pool hand-off, so lines
+        go out in the order they were answered, and after an inline miss,
+        which then yields so that other connections get the loop.
+        """
         if isinstance(item, QueryRequest):
             if self._pending >= self.config.max_pending:
                 # Queue full: an explicit shed through the service's own
                 # accounting path, never a silent drop.
                 self.stats.received += 1
                 self.stats.shed += 1
+                await self._flush(conn, batch)
                 await self._enqueue(
                     conn, self.service.shed(item, self.config.max_pending)
                 )
                 return
-            response = self._answer_inline(item)
-            if response is not None:
+            reply = self._answer_inline(item)
+            if reply is not None:
                 self.stats.received += 1
-                self.stats.answered += 1
-                await self._enqueue(conn, response)
+                self._tally(reply)
+                batch.append(reply_line(reply))
+                if not (isinstance(reply, QueryResponse) and reply.cached):
+                    await self._flush(conn, batch)
+                    await asyncio.sleep(0)
                 return
+        await self._flush(conn, batch)
         # Bounded in-flight permits per connection: when they run out
         # the reader stops consuming this socket (read backpressure).
         await conn.inflight.acquire()
@@ -430,19 +455,33 @@ class NetServer:
         conn.pending.add(task)
         task.add_done_callback(conn.pending.discard)
 
-    def _answer_inline(self, query: QueryRequest) -> Optional[QueryResponse]:
-        """A warm hit answered on the event loop, or None.
+    def _answer_inline(self, query: QueryRequest) -> Optional[Reply]:
+        """``query`` answered on the event loop, hit or miss, or None.
 
-        Only with no fault plane armed (so every ``net.latency`` site,
-        shed and deadline path stays on the pool) and only when the
-        service lock is free right now: the loop never waits on a miss.
+        Only when that needs no waiting: no fault plane armed (so every
+        ``net.latency`` site and deadline path stays on the pool), the
+        session not spilled (a fault-in reads the store and may back
+        off), and the service lock free right now.
         """
-        if is_active() or not self._service_lock.acquire(blocking=False):
+        if is_active():
+            return None
+        record = self.service.sessions.get(query.session)
+        if record is not None and record.spilled:
+            return None
+        if not self._service_lock.acquire(blocking=False):
             return None
         try:
-            return self.service.submit_cached(query)
+            return answer(self.service, query)
         finally:
             self._service_lock.release()
+
+    def _tally(self, reply: Reply) -> None:
+        """Count one answered or errored reply."""
+        status = reply.status if isinstance(reply, QueryResponse) else reply["status"]
+        if status == STATUS_OK:
+            self.stats.answered += 1
+        else:
+            self.stats.errors += 1
 
     async def _process(
         self, conn: _Connection, item: WorkItem, deadline: float
@@ -474,13 +513,7 @@ class NetServer:
                 # Nothing may escape a connection handler: a fault at the
                 # net.latency site becomes a typed error too.
                 reply = failure(item, exc)
-            status = (
-                reply.status if isinstance(reply, QueryResponse) else reply["status"]
-            )
-            if status == STATUS_OK:
-                self.stats.answered += 1
-            else:
-                self.stats.errors += 1
+            self._tally(reply)
             await self._enqueue(conn, reply)
         finally:
             self._pending -= 1
@@ -505,25 +538,35 @@ class NetServer:
     # writing
     # ------------------------------------------------------------------
     async def _enqueue(self, conn: _Connection, reply: Reply) -> None:
-        """Queue one response line (bounded: write backpressure)."""
-        if not conn.broken:  # else the peer is gone; nowhere to write
-            await conn.outbound.put(reply_line(reply))
+        """Queue one response line as its own outbound item."""
+        await self._flush(conn, [reply_line(reply)])
+
+    async def _flush(self, conn: _Connection, batch: List[str]) -> None:
+        """Queue ``batch``'s lines as one outbound item (bounded: write
+        backpressure) and empty it."""
+        if batch:
+            lines = batch[:]
+            batch.clear()
+            if not conn.broken:  # else the peer is gone; nowhere to write
+                await conn.outbound.put(lines)
 
     async def _write_loop(self, conn: _Connection) -> None:
         """One ``write`` and one ``drain()`` per wake-up.
 
-        Every line already queued goes out together.  ``net.write`` still
-        filters each line on its own, so a fault plan's rng streams
-        advance once per line exactly as with one write per line.
+        Every line already queued goes out together (an outbound item is
+        a list of lines).  ``net.write`` still filters each line on its
+        own, so a fault plan's rng streams advance once per line exactly
+        as with one write per line.
         """
         closing = False
         while not closing:
-            lines = [await conn.outbound.get()]
+            items = [await conn.outbound.get()]
             while not conn.outbound.empty():
-                lines.append(conn.outbound.get_nowait())
-            if _CLOSE in lines:
+                items.append(conn.outbound.get_nowait())
+            if _CLOSE in items:
                 closing = True
-                lines = lines[: lines.index(_CLOSE)]
+                items = items[: items.index(_CLOSE)]
+            lines = [line for item in items for line in item]
             if conn.broken:
                 continue  # drain without writing so producers never wedge
             chunks: List[bytes] = []

@@ -19,8 +19,10 @@ Response statuses:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from math import isfinite
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..reports.request import ReportRequest
 
@@ -163,33 +165,45 @@ class QueryResponse:
         )
 
 
+#: An LRU response's line, report text last (see encode_response_line).
+_HEAD = (
+    '{"id": %d, "session": %s, "status": %s, "cached": %s, '
+    '"latency_us": %r, "report": %s}\n'
+)
+
+
 def encode_response_line(response: QueryResponse) -> str:
     """One response as a wire line: ``json.dumps(to_dict()) + "\\n"``.
 
     Byte for byte the same text, but a report that came from the result
     LRU is encoded once per cache entry: its JSON text is kept in the
-    entry's slot and spliced between the response's other fields.
+    entry's slot, and the response's plain head is formatted around it
+    (an entry's response never has an ``error`` or ``extras``, and the
+    type checks keep ``%d``/``%r`` to what ``json.dumps`` would write).
     """
     entry = response.cached_report
-    data = response.to_dict()
-    if entry is None or entry.payload is not response.report or (
-        data.get("report") is not response.report
+    latency = response.latency_us
+    if (
+        entry is None
+        or entry.payload is not response.report
+        or response.error is not None
+        or response.extras
+        or type(response.id) is not int
+        or type(response.cached) is not bool
+        or type(latency) is not float
+        or not isfinite(latency)
     ):
-        return json.dumps(data) + "\n"
+        return json.dumps(response.to_dict()) + "\n"
     if entry.text is None:
         entry.text = json.dumps(entry.payload)
-    head: Dict[Any, Any] = {}
-    tail: Dict[Any, Any] = {}
-    part = head
-    for key, value in data.items():
-        if key == "report":
-            part = tail
-        else:
-            part[key] = value
-    line = json.dumps(head)[:-1] + ', "report": ' + entry.text
-    if tail:
-        return line + ", " + json.dumps(tail)[1:] + "\n"
-    return line + "}\n"
+    return _HEAD % (
+        response.id,
+        json.dumps(response.session),
+        json.dumps(response.status),
+        "true" if response.cached else "false",
+        latency,
+        entry.text,
+    )
 
 
 def responses_to_jsonl(responses: Iterable[QueryResponse]) -> str:
@@ -211,6 +225,20 @@ class DecodedLine:
     error: Optional[str] = None
 
 
+#: A line's leading ``{"id": <JSON integer>, `` (no leading zeros, at
+#: most 18 digits); the hot-line table keys on the text after it.
+_ID_PREFIX = re.compile(r'\{"id": (-?(?:0|[1-9][0-9]{0,17})), ')
+
+#: How many distinct hot lines the table holds before it starts over.
+HOT_LINES = 1024
+
+#: Line text after its id prefix -> (session, report) it decoded to.
+#: Shared by every caller in the process: an entry holds the full
+#: decoder's answer for its text, so what one caller records changes
+#: only the cost of another's decode, never its result.
+_hot_lines: Dict[str, Tuple[str, ReportRequest]] = {}
+
+
 def decode_request_line(text: str, default_id: int = 0) -> DecodedLine:
     """Decode one JSONL wire line; **never raises**.
 
@@ -221,7 +249,34 @@ def decode_request_line(text: str, default_id: int = 0) -> DecodedLine:
     connection handler, and must never be silently dropped.  A line
     carrying an ``op`` field is routed to the fleet-aggregation request
     parser, everything else to :meth:`QueryRequest.from_dict`.
+
+    Clients repeat the same query under new ids, so a query line that
+    starts ``{"id": <integer>, `` is decoded once: the text after that
+    prefix keys a bounded table of what it decoded to.  Only a remainder
+    with no ``"id"`` text (no second id key) and no backslash (no escaped
+    one) is recorded, so the id always comes from the prefix and the
+    table's answer is the full decoder's.
     """
+    match = _ID_PREFIX.match(text)
+    if match is None:
+        return _decode_document(text, default_id)
+    rest = text[match.end() :]
+    hot = _hot_lines.get(rest)
+    if hot is not None:
+        qid = int(match.group(1))
+        return DecodedLine(
+            kind="query", id=qid, query=QueryRequest(qid, hot[0], hot[1])
+        )
+    decoded = _decode_document(text, default_id)
+    if decoded.kind == "query" and '"id"' not in rest and "\\" not in rest:
+        if len(_hot_lines) >= HOT_LINES:
+            _hot_lines.clear()
+        _hot_lines[rest] = (decoded.query.session, decoded.query.report)
+    return decoded
+
+
+def _decode_document(text: str, default_id: int) -> DecodedLine:
+    """The full decoder: ``json.loads`` and validation, never raising."""
     from ..aggregate import AggregateRequestError, is_aggregate_document
 
     try:

@@ -44,6 +44,7 @@ from ..offline.analyzer import OfflineAnalyzer
 from ..offline.trace import DeviceTrace
 from ..reports.request import UnknownBackendError
 from ..store import StoreError
+from ..telemetry import Category, QueryServedEvent
 from .ingest import IngestedTrace, IngestError, PathLike, iter_traces
 from .protocol import (
     ALL_SESSIONS,
@@ -223,18 +224,11 @@ class ResultLRU:
         self.hits = 0
         self.misses = 0
 
-    def entry(
-        self, key: Tuple[Any, ...], count_miss: bool = True
-    ) -> Optional[CachedReport]:
-        """The cached entry, refreshed to most-recent, or None.
-
-        ``count_miss=False`` probes without counting a miss (a hit is
-        always counted): the caller will look the key up again.
-        """
+    def entry(self, key: Tuple[Any, ...]) -> Optional[CachedReport]:
+        """The cached entry, refreshed to most-recent, or None (counted)."""
         entry = self._entries.get(key)
         if entry is None:
-            if count_miss:
-                self.misses += 1
+            self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
@@ -486,20 +480,6 @@ class ProfilingService:
         entry = self.cache.store(query.key(), payload)
         return self._finish(query, payload, started, False, entry)
 
-    def submit_cached(self, query: QueryRequest) -> Optional[QueryResponse]:
-        """Answer ``query`` from the result LRU alone, or return None.
-
-        A hit is counted exactly as :meth:`submit` counts it; a miss is
-        not counted at all, so the caller can hand the query to
-        :meth:`submit` afterwards.  Never computes, never blocks.
-        """
-        started = time.perf_counter()
-        entry = self.cache.entry(query.key(), count_miss=False)
-        if entry is None:
-            return None
-        self.stats.received += 1
-        return self._finish(query, entry.payload, started, True, entry)
-
     def aggregate(self, request: "AggregateRequest") -> "AggregateResponse":
         """Answer one fleet aggregate across this service's sessions.
 
@@ -594,13 +574,16 @@ class ProfilingService:
             self.stats.by_backend[backend] = self.stats.by_backend.get(backend, 0) + 1
         else:
             self.stats.errors += 1
-        if self.bus is not None:
-            from ..telemetry import QueryServedEvent
-
+        bus = self.bus
+        if bus is not None:
             record = self.sessions.get(query.session)
-            self.bus.publish(
+            time_ = record.captured_at if record else 0.0
+            if not bus.wants(Category.SERVE):
+                bus.tick(Category.SERVE, time_)  # nobody listens: count only
+                return
+            bus.publish(
                 QueryServedEvent(
-                    time=record.captured_at if record else 0.0,
+                    time=time_,
                     session=query.session,
                     backend=query.report.backend,
                     status=response.status,

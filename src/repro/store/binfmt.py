@@ -47,6 +47,7 @@ from ..offline.trace import (
     DeviceTrace,
     LinkRecord,
     TraceFormatError,
+    check_foreground,
 )
 
 MAGIC = b"REPROTRC"
@@ -202,6 +203,7 @@ class LazyBinaryTrace:
                 f"binary trace header is truncated or malformed: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+        check_foreground(self.foreground)
         self._directory: List[Tuple[int, str, int]] = []
         self._offsets: Dict[Tuple[int, str], Tuple[int, int]] = {}
         offset = 0

@@ -239,18 +239,24 @@ class TestCliServe:
         assert main(["serve", "--batch", "no-such-dir"]) == 2
         assert "cannot ingest" in capsys.readouterr().err
 
-    def test_serve_fail_on_shed_trips(self):
-        """Only TCP admits overlapping arrivals, so only --listen sheds."""
+    def test_serve_fail_on_shed_trips(self, tmp_path):
+        """Only TCP admits overlapping arrivals, so only --listen sheds.
+
+        A query the event loop can answer at once is never queued; a
+        spilled session's miss (a store fault-in) is pool work, and that
+        is what --queue bounds."""
         import json
         import os
         import signal
         import socket
         import subprocess
         import sys
+        from pathlib import Path
 
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--batch", "corpus",
+             "--store", str(tmp_path / "store"), "--spill",
              "--listen", "127.0.0.1:0", "--queue", "1", "--fail-on-shed"],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -263,16 +269,16 @@ class TestCliServe:
                 line = server.stderr.readline()
             assert line, "serve exited before it listened"
             host, _, port = line.split()[-1].rpartition(":")
+            sessions = sorted(p.stem for p in Path("corpus").glob("*.json"))[:4]
             cold = b"".join(
                 json.dumps(
-                    {"id": i, "session": "chaos-seed0-bc07bedbd53905df",
-                     "backend": "eandroid", "start": float(i)}
+                    {"id": i, "session": session, "backend": "eandroid"}
                 ).encode() + b"\n"
-                for i in range(1, 5)
+                for i, session in enumerate(sessions, 1)
             )
             address = (host, int(port))
             with socket.create_connection(address, timeout=60) as conn:
-                conn.sendall(cold)  # four misses in one write
+                conn.sendall(cold)  # four spilled misses in one write
                 with conn.makefile("rb") as replies:
                     statuses = [json.loads(replies.readline())["status"] for _ in range(4)]
             server.send_signal(signal.SIGINT)

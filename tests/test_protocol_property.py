@@ -1,27 +1,31 @@
 """Property tests for the JSONL wire protocol and its framing layer.
 
-Two contracts, pinned with hypothesis:
+Three contracts, pinned with hypothesis:
 
 * **round-trip identity** — any valid query / aggregate / response
   object survives encode → frame → chunked reassembly → decode exactly
   (the same `DecodedLine` both serving front-ends consume), and the
-  response encoder that splices cached report text writes exactly the
+  response encoder that reuses cached report text writes exactly the
   bytes ``json.dumps(response.to_dict()) + "\\n"`` would;
 * **never-raise degradation** — `decode_request_line` turns arbitrary
   garbage, truncation, and type confusion into a typed ``error`` result
   and never lets an exception escape (an escaping exception would kill
   a connection handler), and `LineAssembler` yields the same framing
-  events for a byte stream regardless of how the chunks split it.
+  events for a byte stream regardless of how the chunks split it;
+* **fast paths change nothing** — with the hot-line decode table cold,
+  warm or full, `decode_request_line` answers as the full decoder, and
+  an LRU response's formatted head is what ``json.dumps`` would write.
 """
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregate import AggregateRequest
 from repro.aggregate.request import GROUP_BYS, OPS
 from repro.reports import BACKENDS, ReportRequest
+from repro.serve import protocol
 from repro.serve import (
     CachedReport,
     LineAssembler,
@@ -184,7 +188,7 @@ class TestRoundTrips:
     )
     @settings(max_examples=300, deadline=None)
     def test_response_encoder_is_byte_identical(self, response, extras, slot):
-        """The spliced encoder writes exactly ``json.dumps(to_dict())``."""
+        """The encoder writes exactly ``json.dumps(to_dict())``."""
         response.extras = extras
         if slot != "none" and response.report is not None:
             response.cached_report = CachedReport(response.report)
@@ -313,3 +317,125 @@ class TestOversizedResync:
         assert [kind for kind, _ in events] == ["line"]
         # after finish() the assembler is clean for reuse
         assert assembler.feed(b"z\n") == [("line", b"z")]
+
+
+# ----------------------------------------------------------------------
+# the fast paths: hot-line decode table and formatted response heads
+# ----------------------------------------------------------------------
+_id_tokens = st.one_of(
+    st.sampled_from(
+        ("0", "-0", "007", "-01", "1", "-17", "9" * 18, "1" + "0" * 18,
+         "1" * 25, "1.0", "1e3", "true", "null", '"5"', "[1]")
+    ),
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+)
+_sessions = st.text(max_size=12)  # any unicode, quotes and backslashes too
+
+
+def _mostly(value, *others):
+    """``value`` about half the time, else one of ``others``."""
+    return st.one_of(st.just(value), st.sampled_from(others))
+
+
+@st.composite
+def request_rests(draw):
+    """The members after a line's id, closing brace included."""
+    members = []
+    if draw(_mostly(True, False)):
+        members.append(
+            '"session": '
+            + json.dumps(draw(_sessions), ensure_ascii=draw(st.booleans()))
+        )
+    backend = draw(st.one_of(st.sampled_from(BACKENDS), st.sampled_from(("nope", ""))))
+    members.append(f'"backend": "{backend}"')
+    if draw(st.booleans()):
+        members.append(f'"start": {draw(st.sampled_from(("0.5", "2", "-1", "1e400")))}')
+    if draw(_mostly(False, True)):
+        members.append(f'"op": "{draw(st.sampled_from(OPS + ("nope",)))}"')
+    extra = draw(
+        _mostly("", '"id": 9', '"\\u0069d": 9', '"id": "x"', '"note": "id"')
+    )
+    if extra:
+        members.insert(draw(st.integers(0, len(members))), extra)
+    members = draw(st.permutations(members))
+    sep = draw(_mostly(", ", ",", " , "))
+    return sep.join(members) + draw(_mostly("}", " }", "}x", ""))
+
+
+_HOT_REST = '"session": "s", "backend": "energy"}'
+_prefixes = _mostly(
+    '{"id": %s, ', '{"id":%s, ', '{ "id": %s, ', '{"id" : %s, ', '{"id": %s ,'
+)
+
+
+class TestFastPaths:
+    @given(
+        rest=request_rests(),
+        prefix=_prefixes,
+        first=_id_tokens,
+        second=_id_tokens,
+    )
+    @example(rest=_HOT_REST, prefix='{"id": %s, ', first="1", second="007")
+    @example(rest=_HOT_REST, prefix='{"id": %s, ', first="1", second="-0")
+    @example(rest=_HOT_REST, prefix='{"id": %s, ', first="1", second="1" * 19)
+    @example(
+        rest='"id": 9, ' + _HOT_REST, prefix='{"id": %s, ', first="1", second="2"
+    )
+    @example(
+        rest='"\\u0069d": 9, ' + _HOT_REST,
+        prefix='{"id": %s, ',
+        first="1",
+        second="2",
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_decode_table_answers_as_the_full_decoder(
+        self, rest, prefix, first, second
+    ):
+        """Warm (from the same line or another id), cold or full, the
+        table never changes what a line decodes to."""
+        lines = [prefix % first + rest, prefix % second + rest]
+        expected = [protocol._decode_document(line, 5) for line in lines]
+        try:
+            protocol._hot_lines.clear()  # cold
+            for _ in range(2):  # the second round meets a warm table
+                for line, want in zip(lines, expected):
+                    assert decode_request_line(line, 5) == want
+            protocol._hot_lines.clear()
+            protocol._hot_lines.update(
+                (f"filler {n}", ("s", ReportRequest("energy")))
+                for n in range(protocol.HOT_LINES)
+            )
+            for line, want in zip(lines, expected):  # full, then starting over
+                assert decode_request_line(line, 5) == want
+                assert len(protocol._hot_lines) <= protocol.HOT_LINES
+        finally:
+            protocol._hot_lines.clear()
+
+    @given(
+        qid=st.integers(min_value=-(2**63), max_value=2**63),
+        session=_sessions,
+        cached=st.booleans(),
+        latency=st.one_of(
+            st.sampled_from((0.0, 1e-7, 1e22, 5e-324, 1.7976931348623157e308)),
+            st.floats(),
+        ),
+        report=st.dictionaries(
+            st.text(max_size=6),
+            st.one_of(st.text(max_size=6), st.floats(allow_nan=False)),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_formatted_head_is_json_dumps(self, qid, session, cached, latency, report):
+        response = QueryResponse(
+            id=qid,
+            session=session,
+            status="ok",
+            report=report,
+            cached=cached,
+            latency_us=latency,
+            cached_report=CachedReport(report),
+        )
+        expected = json.dumps(response.to_dict()) + "\n"
+        assert encode_response_line(response) == expected
+        assert encode_response_line(response) == expected  # text reused

@@ -134,24 +134,43 @@ class TestServing:
         assert not first.cached and second.cached
         assert first.report == second.report
         assert service.cache.hits == 1 and service.cache.misses == 1
-
-    def test_submit_cached_counts_hits_and_ignores_misses(self, service):
-        (query,) = ServiceClient(service).build("scene", "eandroid")
-        # A miss answers nothing and counts nothing: the caller falls
-        # back to submit, which counts it once.
-        assert service.submit_cached(query) is None
-        assert service.stats.received == 0
-        assert service.cache.hits == service.cache.misses == 0
-        first = service.submit(query)
-        hit = service.submit_cached(query)
-        assert hit is not None and hit.cached and hit.ok
-        assert hit.report is first.report
-        assert hit.cached_report is first.cached_report is not None
-        # submit never fills the report-text slot; only an encoder does.
+        # Both point at the one LRU entry; only an encoder fills its text.
+        assert second.cached_report is first.cached_report is not None
         assert first.cached_report.text is None
-        stats = service.stats
-        assert stats.received == stats.answered == 2
-        assert service.cache.hits == 1 and service.cache.misses == 1
+
+    def test_unobserved_queries_build_no_events(self, scene_trace, monkeypatch):
+        """With no SERVE subscriber a query only ticks the bus: the bus
+        counts the same, and a subscriber still gets every event."""
+        from repro.serve import service as service_module
+        from repro.telemetry import Category
+        from repro.telemetry.bus import TelemetryRecorder
+
+        def run(svc):
+            svc.ingest_trace("scene", scene_trace, "test")
+            for backend in ("energy", "energy", "eandroid"):
+                (query,) = ServiceClient(svc).build("scene", backend)
+                svc.submit(query)
+            (ghost,) = ServiceClient(svc).build("ghost", "energy")
+            svc.submit(ghost)
+            return svc.bus.stats_dict()
+
+        observed = ProfilingService(ServiceConfig(telemetry=True))
+        recorder = TelemetryRecorder()
+        recorder.attach(observed.bus, categories=[Category.SERVE])
+        observed_stats = run(observed)
+        served = [e for e in recorder.events if e.name == "query_served"]
+        assert [(e.backend, e.cached, e.status) for e in served] == [
+            ("energy", False, "ok"),
+            ("energy", True, "ok"),
+            ("eandroid", False, "ok"),
+            ("energy", False, "error"),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("event built with no subscriber")
+
+        monkeypatch.setattr(service_module, "QueryServedEvent", refuse)
+        assert run(ProfilingService(ServiceConfig(telemetry=True))) == observed_stats
 
     def test_unknown_session_is_error(self, service):
         (query,) = ServiceClient(service).build("ghost", "energy")

@@ -553,7 +553,7 @@ def _run_write_loop(service, lines):
         writer = _RecordingWriter()
         conn = _Connection(1, None, writer, server.config)
         for line in lines:
-            conn.outbound.put_nowait(line)
+            conn.outbound.put_nowait([line])
         conn.outbound.put_nowait(_CLOSE)
         await asyncio.wait_for(server._write_loop(conn), timeout=10.0)
         return server, conn, writer
@@ -633,12 +633,104 @@ class TestWarmPath:
         assert server.stats.answered == clients * per_client
 
     def test_hits_go_to_the_pool_while_the_service_lock_is_held(self, service):
+        """The loop answers inline only what needs no waiting: with the
+        lock held or a plane armed, a hit and a miss alike go to the
+        pool; with the lock free, a miss is answered inline too."""
         service.submit(_query(0))
         server = NetServer(service, NetConfig())
         with server._service_lock:
             assert server._answer_inline(_query(1)) is None
-        assert server._answer_inline(_query(2)).cached
-        assert server._answer_inline(_query(3, backend="energy")) is None  # miss
+            assert server._answer_inline(_query(2, backend="energy")) is None
+        assert server._answer_inline(_query(3)).cached
+        miss = server._answer_inline(_query(4, backend="energy"))
+        assert miss.ok and not miss.cached
+        with activate(_latency_plan(1.0), seed=0):
+            assert server._answer_inline(_query(5)) is None
+        assert service.stats.received == service.stats.answered == 3
+
+    def test_spilled_sessions_go_to_the_pool_until_faulted_in(
+        self, scene_trace, tmp_path
+    ):
+        """A fault-in reads the store and may back off, so a spilled
+        session's queries leave the loop until one of them faults the
+        trace back in."""
+        service = ProfilingService(
+            ServiceConfig(telemetry=False, store_dir=str(tmp_path), spill=True)
+        )
+        service.ingest_trace("scene", scene_trace, "test")
+        assert service.sessions["scene"].spilled
+        server = NetServer(service, NetConfig())
+        assert server._answer_inline(_query(1)) is None
+        service.submit(_query(2))  # the pool's answer faults the trace in
+        assert server._answer_inline(_query(3)).cached
+        assert server._answer_inline(_query(4, backend="energy")).ok
+
+    def test_one_outbound_item_per_read_chunk(self, service):
+        service.submit(_query(0))
+        items = []
+
+        class Recording(NetServer):
+            async def _flush(self, conn, batch):
+                items.append(len(batch))
+                await super()._flush(conn, batch)
+
+        async def main():
+            server = Recording(service, NetConfig())
+            await server.start()
+            try:
+                lines = [_line(qid) for qid in range(1, 9)] + [b"{\n"]
+                return await _raw_roundtrip(*server.address, [b"".join(lines)])
+            finally:
+                await server.shutdown()
+
+        responses = asyncio.run(main())
+        assert [r["id"] for r in responses] == list(range(1, 10))
+        assert [r["status"] for r in responses] == [STATUS_OK] * 8 + [STATUS_ERROR]
+        # The eight hits and the parse error, one item; then EOF's empty read.
+        assert [n for n in items if n] == [9]
+
+    def test_a_burst_of_misses_does_not_stall_another_connection(self, service):
+        """The loop yields after each inline miss, so a hit on a second
+        connection is answered while the first one's misses are still
+        being computed."""
+        service.submit(_query(0))
+        misses = 48
+
+        def miss_line(qid):
+            query = QueryRequest(
+                id=qid,
+                session="scene",
+                report=ReportRequest(backend="eandroid", start=qid * 1e-3),
+            )
+            return (json.dumps(query.to_dict()) + "\n").encode()
+
+        async def scenario(server, host, port):
+            burst_reader, burst_writer = await asyncio.open_connection(host, port)
+            burst_writer.write(b"".join(miss_line(q) for q in range(1, misses + 1)))
+            await burst_writer.drain()
+            first = await asyncio.wait_for(burst_reader.readline(), 10.0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(_line(1000))
+            await writer.drain()
+            hit = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+            answered_by_then = service.stats.received
+            rest = [
+                await asyncio.wait_for(burst_reader.readline(), 10.0)
+                for _ in range(misses - 1)
+            ]
+            for w in (writer, burst_writer):
+                w.close()
+            return json.loads(first), hit, answered_by_then, rest
+
+        server, (first, hit, answered_by_then, rest) = run_net(
+            service, NetConfig(), scenario
+        )
+        assert first["status"] == STATUS_OK and not first["cached"]
+        assert hit["id"] == 1000 and hit["status"] == STATUS_OK and hit["cached"]
+        # The warm-up, the hit, and only part of the burst were in.
+        assert answered_by_then < 1 + 1 + misses
+        assert all(json.loads(line)["status"] == STATUS_OK for line in rest)
+        assert server.stats.answered == misses + 1
 
     def test_armed_plane_sees_every_hot_query_at_net_latency(self, service):
         service.submit(_query(0))

@@ -160,3 +160,30 @@ def test_overlong_comment_counts_toward_default_ids(scene_trace, capsys):
     ]
     assert "maximum line size" in daemon[0]["error"]
     assert _comparable(daemon) == _comparable(tcp)
+
+
+def test_hot_lines_answer_alike_on_both_transports(scene_trace, capsys):
+    """Lines that differ only in their id share one decode; a second id
+    key, a leading zero or ``-0`` must not be answered from that table."""
+    hot = b'"session": "a", "backend": "energy"}\n'
+    data = b"".join(
+        [
+            b'{"id": 1, ' + hot,
+            b'{"id": 2, ' + hot,
+            b'{"id": 3, "session": "a", "backend": "energy", "id": 9}\n',
+            b'{"id": 3, "session": "a", "backend": "energy", "id": 9}\n',
+            b'{"id": 007, ' + hot,
+            b'{"id": -0, ' + hot,
+        ]
+    )
+    daemon = _daemon(_fleet(scene_trace), data, capsys)
+    tcp = _tcp(_fleet(scene_trace), data)
+    assert _comparable(daemon) == _comparable(tcp)
+    assert [(r["id"], r["status"]) for r in daemon] == [
+        (1, STATUS_OK),
+        (2, STATUS_OK),
+        (9, STATUS_OK),
+        (9, STATUS_OK),
+        (5, STATUS_ERROR),
+        (0, STATUS_OK),
+    ]

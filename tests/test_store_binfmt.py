@@ -63,8 +63,15 @@ def device_traces(draw):
         battery_capacity_j=draw(finite),
         apps=draw(st.dictionaries(uids, st.text(max_size=8), max_size=4)),
         system_uids=draw(st.lists(uids, max_size=3)),
-        foreground=draw(
-            st.lists(st.tuples(finite, st.one_of(st.none(), uids)), max_size=4)
+        # Foreground changes are in time order (equal times allowed); a
+        # list that goes backwards is malformed (see TestMalformedInput).
+        foreground=sorted(
+            draw(
+                st.lists(
+                    st.tuples(finite, st.one_of(st.none(), uids)), max_size=4
+                )
+            ),
+            key=lambda change: change[0],
         ),
         links=draw(
             st.lists(
@@ -177,6 +184,21 @@ class TestMalformedInput:
     def test_arbitrary_bytes_raise_trace_format_error(self, data):
         with pytest.raises(TraceFormatError):
             decode_trace(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(finite, min_size=2, max_size=6))
+    def test_foreground_must_not_go_back_in_time(self, times):
+        trace = DeviceTrace(
+            captured_at=1.0, foreground=[(t, 10000) for t in times]
+        )
+        blob = encode_trace(trace)
+        if times == sorted(times):
+            assert decode_trace(blob).foreground == trace.foreground
+        else:
+            with pytest.raises(TraceFormatError, match="go back in time"):
+                decode_trace(blob)
+            with pytest.raises(TraceFormatError, match="go back in time"):
+                LazyBinaryTrace(blob)
 
     def test_header_json_must_be_an_object(self):
         # A structurally valid frame whose header decodes to a non-dict.

@@ -56,6 +56,20 @@ def test_mistyped_channel(trace_doc):
         DeviceTrace.from_json(json.dumps(doc))
 
 
+def test_backward_foreground_changes(trace_doc):
+    doc = json.loads(json.dumps(trace_doc))
+    doc["foreground"] = [[0.0, 10000], [5.0, 10001], [4.0, 10000]]
+    with pytest.raises(TraceFormatError, match="go back in time"):
+        DeviceTrace.from_json(json.dumps(doc))
+
+
+def test_equal_foreground_times_are_allowed(trace_doc):
+    doc = json.loads(json.dumps(trace_doc))
+    doc["foreground"] = [[0.0, 10000], [5.0, 10001], [5.0, None]]
+    trace = DeviceTrace.from_json(json.dumps(doc))
+    assert trace.foreground == [(0.0, 10000), (5.0, 10001), (5.0, None)]
+
+
 def test_round_trip_still_works(trace_doc):
     restored = DeviceTrace.from_json(json.dumps(trace_doc))
     assert json.loads(restored.to_json()) == trace_doc
