@@ -260,6 +260,54 @@ def bench_offline_reports(repeats: int) -> BenchMeasurement:
     )
 
 
+def bench_offline_windowed(repeats: int) -> BenchMeasurement:
+    """The served-miss layer: windowed E-Android and collateral reports.
+
+    One warm :class:`~repro.offline.OfflineAnalyzer` over the
+    ``eandroid_hook`` scenario's trace answers a fixed set of windowed
+    ``eandroid``/``collateral`` requests, as a session's analyzer
+    answers cache misses; its link index is built before the timing.
+    ``cold_first_query_ms`` is the median time of a fresh analyzer's
+    first ``eandroid`` request over the whole trace, which builds it.
+    """
+    from ..check.generator import generate_scenario
+    from ..check.runner import ScenarioExecutor
+    from ..offline import OfflineAnalyzer, capture_trace
+    from ..reports.request import ReportRequest
+
+    executor = ScenarioExecutor(generate_scenario(1600, ops=800))
+    executor.run()
+    trace = capture_trace(executor.system, executor.ea)
+    requests = [
+        ReportRequest(backend=backend, start=start, end=end)
+        for start, end in _query_windows(trace.captured_at, count=40)
+        for backend in ("eandroid", "collateral")
+    ]
+    cold = ReportRequest(backend="eandroid")
+    analyzer = OfflineAnalyzer(trace)
+    analyzer.describe(cold).to_dict()
+    times: List[float] = []
+    cold_times: List[float] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for request in requests:
+            analyzer.describe(request).to_dict()
+        times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        OfflineAnalyzer(trace).describe(cold).to_dict()
+        cold_times.append(time.perf_counter() - started)
+    median = sorted(times)[len(times) // 2]
+    return BenchMeasurement(
+        times_s=times,
+        metrics={
+            "queries": len(requests),
+            "links": len(trace.links),
+            "us_per_query": 1e6 * median / len(requests),
+            "cold_first_query_ms": 1000.0 * sorted(cold_times)[len(cold_times) // 2],
+        },
+    )
+
+
 def _build_serve_service():
     """One in-process query service over a captured attack trace."""
     from ..offline import capture_trace
@@ -795,6 +843,12 @@ for _order, _spec in enumerate(
             runner=bench_offline_reports,
             kind="macro",
             description="all five offline report backends, 800-op trace",
+        ),
+        BenchSpec(
+            name="offline_windowed",
+            runner=bench_offline_windowed,
+            kind="macro",
+            description="windowed eandroid/collateral misses, one warm analyzer",
         ),
         BenchSpec(
             name="serve_throughput",

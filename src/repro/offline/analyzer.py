@@ -19,7 +19,8 @@ form of the paper's system.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
+from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..accounting.attribution import direct_report, powertutor_report, superimpose
@@ -30,9 +31,164 @@ from ..power.trace import PowerTrace
 from ..telemetry.events import SCREEN_TARGET
 from .trace import DeviceTrace
 
+INF = float("inf")
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reports.request import ReportRequest
     from ..reports.view import ProfilerReportView
+
+
+Windows = Dict[int, List[Tuple[float, float]]]
+
+
+class LinkIndex:
+    """Algorithm 1 over a whole trace: every host's charge runs, swept once.
+
+    The sweep visits each time a link begins or ends, in order; links
+    that end where they begin (or before) are never live and are left
+    out.  Each host's reach is a depth-first walk over a per-driver
+    adjacency of the live links in trace order, so target sets iterate
+    as a walk over the whole live list would.  A host's reach is walked
+    again only when a driver whose live links changed is the host or in
+    its reach; nothing else can change the walk.
+
+    Kept per host: its runs ``[a, b, target]`` (``b`` is +inf for a run
+    still open at the end) in the order they opened, and every reach set
+    the sweep walked, with the time it was walked at.  A window clips
+    the runs; the reach set that holds the window's start orders the
+    targets reached in its first segment, as a sweep over the window
+    alone would.
+    """
+
+    def __init__(self, trace: DeviceTrace) -> None:
+        links = trace.links
+        # the set itself: its iteration order breaks ties between hosts
+        self.hosts = hosts = {l.driving_uid for l in links}
+        self.sorted_hosts = sorted(hosts)
+        self.runs: Dict[int, List[list]] = {host: [] for host in hosts}
+        self.reach_times: Dict[int, List[float]] = {host: [] for host in hosts}
+        self.reach_sets: Dict[int, List[Set[int]]] = {host: [] for host in hosts}
+        # (time, link index, begins?, driver, target) for every link that
+        # is ever live
+        events = []
+        for index, link in enumerate(links):
+            end = link.end_time
+            if end is None or end > link.begin_time:
+                driver, target = link.driving_uid, link.target
+                events.append((link.begin_time, index, True, driver, target))
+                if end is not None:
+                    events.append((end, index, False, driver, target))
+        events.sort()
+        runs, reach_times, reach_sets = self.runs, self.reach_times, self.reach_sets
+        # driver -> (link index, target) of its live links, in trace order
+        out_edges: Dict[int, List[Tuple[int, int]]] = {}
+        reach: Dict[int, Set[int]] = {host: set() for host in hosts}
+        # host -> target -> its run still open
+        open_runs: Dict[int, Dict[int, list]] = {host: {} for host in hosts}
+        count = len(events)
+        next_event = 0
+        while next_event < count:
+            now = events[next_event][0]
+            drivers: Set[int] = set()
+            while next_event < count:
+                event = events[next_event]
+                if event[0] != now:
+                    break
+                next_event += 1
+                _, index, begins, driver, target = event
+                drivers.add(driver)
+                if begins:
+                    insort(out_edges.setdefault(driver, []), (index, target))
+                else:
+                    edges = out_edges[driver]
+                    edges.remove((index, target))
+                    if not edges:
+                        del out_edges[driver]
+            for host in hosts:
+                before = reach[host]
+                if host not in drivers and drivers.isdisjoint(before):
+                    continue
+                reached: Set[int] = set()
+                frontier = [host]
+                while frontier:
+                    for _, target in out_edges.get(frontier.pop(), ()):
+                        if target == host or target in reached:
+                            continue
+                        reached.add(target)
+                        if target != SCREEN_TARGET:
+                            frontier.append(target)
+                reach[host] = reached
+                reach_times[host].append(now)
+                reach_sets[host].append(reached)
+                if reached == before:
+                    continue
+                host_open = open_runs[host]
+                for target in before - reached:
+                    host_open.pop(target)[1] = now
+                for target in reached:
+                    if target not in host_open:
+                        run = host_open[target] = [now, INF, target]
+                        runs[host].append(run)
+
+    def clip(self, host: int, start: float, end: float) -> Windows:
+        """target -> ``host``'s charge windows over ``[start, end]``.
+
+        Targets reached in the window's first segment come first, in
+        their reach set's order; the rest follow as their runs opened.
+        """
+        windows: Windows = {}
+        times = self.reach_times.get(host)
+        if not times or not start < end:
+            return windows
+        first = bisect_right(times, start) - 1
+        if first >= 0:
+            for target in self.reach_sets[host][first]:
+                windows[target] = []
+        for a, b, target in self.runs[host]:
+            if a >= end:
+                break
+            if b > start:
+                spans = windows.get(target)
+                if spans is None:
+                    spans = windows[target] = []
+                spans.append((a if a > start else start, b if b < end else end))
+        return windows
+
+
+class LinkWindows(Mapping):
+    """host -> target -> charge windows over ``[start, end]``, a view
+    that clips a :class:`LinkIndex` one host at a time.
+
+    Iteration orders hosts by their first window's start, ties in the
+    index's host set order: the order a sweep over the window alone
+    would first charge them in.
+    """
+
+    def __init__(self, index: LinkIndex, start: float, end: float) -> None:
+        self._index = index
+        self.start = start
+        self.end = end
+
+    def get(self, host, default=None):
+        return self._index.clip(host, self.start, self.end) or default
+
+    def __getitem__(self, host: int) -> Windows:
+        windows = self.get(host)
+        if windows is None:
+            raise KeyError(host)
+        return windows
+
+    def __iter__(self) -> Iterator[int]:
+        charged = []
+        for host in self._index.hosts:
+            windows = self.get(host)
+            if windows:
+                charged.append((min(s[0][0] for s in windows.values()), host))
+        charged.sort(key=lambda item: item[0])
+        return (host for _, host in charged)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class OfflineAnalyzer:
@@ -50,6 +206,8 @@ class OfflineAnalyzer:
         self._by_owner: Dict[int, List[PowerTrace]] = {}
         for (owner, _), power_trace in self._channels.items():
             self._by_owner.setdefault(owner, []).append(power_trace)
+        # Algorithm 1's charge runs; only the E-Android views build it
+        self._link_index: Optional[LinkIndex] = None
 
     # ------------------------------------------------------------------
     # primitive energy queries
@@ -126,101 +284,16 @@ class OfflineAnalyzer:
     # ------------------------------------------------------------------
     # E-Android offline
     # ------------------------------------------------------------------
-    def _link_windows(
-        self, start: float, end: float
-    ) -> Dict[int, Dict[int, List[Tuple[float, float]]]]:
-        """host -> target -> merged charge windows, from the link log.
+    def _index(self) -> LinkIndex:
+        """The trace's link index, swept on first use."""
+        if self._link_index is None:
+            self._link_index = LinkIndex(self.trace)
+        return self._link_index
 
-        Reconstructs per-(host, target) windows by reachability over the
-        link set live at the midpoint of every segment between link
-        boundaries — the offline equivalent of the live map-set sync.
-        One sweep: link indices sorted by begin and by end advance a
-        live set with the midpoints (which never decrease, so a link
-        enters and leaves the set at most once), and reachability is
-        recomputed only at segments where that set changed.  Each host's reach is a walk
-        over a per-driver adjacency of the live links in trace order, so
-        target sets (and the dict order they give the result) match a
-        walk over the whole live list.  A run of segments in which a
-        host reaches a target becomes one window.
-        """
-        links = self.trace.links
-        boundaries = sorted(
-            {start, end}
-            | {l.begin_time for l in links}
-            | {l.end_time for l in links if l.end_time is not None}
-        )
-        boundaries = [b for b in boundaries if start <= b <= end]
-        if not boundaries or boundaries[0] > start:
-            boundaries.insert(0, start)
-        if boundaries[-1] < end:
-            boundaries.append(end)
-        windows: Dict[int, Dict[int, List[Tuple[float, float]]]] = {}
-        hosts = {l.driving_uid for l in links}
-        begins = sorted((l.begin_time, i) for i, l in enumerate(links))
-        ends = sorted(
-            (l.end_time, i) for i, l in enumerate(links) if l.end_time is not None
-        )
-        next_begin = next_end = 0
-        live = [False] * len(links)
-        # driver -> (link index, target) of its live links, in trace order
-        out_edges: Dict[int, List[Tuple[int, int]]] = {}
-        # host -> target -> start of the window still open
-        runs: Dict[int, Dict[int, float]] = {}
-        for seg_start, seg_end in zip(boundaries, boundaries[1:]):
-            midpoint = (seg_start + seg_end) / 2.0
-            changed = False
-            while next_begin < len(begins) and begins[next_begin][0] <= midpoint:
-                index = begins[next_begin][1]
-                next_begin += 1
-                link = links[index]
-                if link.end_time is None or link.end_time > midpoint:
-                    live[index] = True
-                    insort(
-                        out_edges.setdefault(link.driving_uid, []),
-                        (index, link.target),
-                    )
-                    changed = True
-            while next_end < len(ends) and ends[next_end][0] <= midpoint:
-                index = ends[next_end][1]
-                next_end += 1
-                if live[index]:
-                    live[index] = False
-                    link = links[index]
-                    edges = out_edges[link.driving_uid]
-                    edges.remove((index, link.target))
-                    if not edges:
-                        del out_edges[link.driving_uid]
-                    changed = True
-            if not changed:
-                continue
-            for host in hosts:
-                host_runs = runs.get(host)
-                if host not in out_edges and not host_runs:
-                    continue
-                reached: Set[int] = set()
-                frontier = [host]
-                while frontier:
-                    for _, target in out_edges.get(frontier.pop(), ()):
-                        if target == host or target in reached:
-                            continue
-                        reached.add(target)
-                        if target != SCREEN_TARGET:
-                            frontier.append(target)
-                if host_runs:
-                    for target in [t for t in host_runs if t not in reached]:
-                        windows[host][target].append(
-                            (host_runs.pop(target), seg_start)
-                        )
-                for target in reached:
-                    if host_runs is None:
-                        host_runs = runs[host] = {}
-                    if target not in host_runs:
-                        windows.setdefault(host, {}).setdefault(target, [])
-                        host_runs[target] = seg_start
-        for host, host_runs in runs.items():
-            for target, run_start in host_runs.items():
-                windows[host][target].append((run_start, boundaries[-1]))
-        return windows
+    def _link_windows(self, start: float, end: float) -> LinkWindows:
+        """host -> target -> merged charge windows over ``[start, end]``,
+        clipped from the link index one host at a time as it is read."""
+        return LinkWindows(self._index(), start, end)
 
     def _breakdown(
         self, host_windows: Dict[int, List[Tuple[float, float]]]
@@ -258,7 +331,7 @@ class OfflineAnalyzer:
             report,
             (
                 (host, self._breakdown(windows.get(host, {})))
-                for host in sorted({l.driving_uid for l in self.trace.links})
+                for host in self._index().sorted_hosts
                 if hosts is None or host in hosts
             ),
             self.label_for,

@@ -257,6 +257,11 @@ class ResultLRU:
         """Drop every cached payload (counters keep running)."""
         self._entries.clear()
 
+    def drop_session(self, session: str) -> None:
+        """Drop every payload answered for ``session``."""
+        for key in [key for key in self._entries if key[0] == session]:
+            del self._entries[key]
+
     @property
     def hit_rate(self) -> float:
         """hits / lookups (0.0 before any lookup)."""
@@ -342,10 +347,13 @@ class ProfilingService:
     ) -> SessionRecord:
         """Register one trace as a queryable session (replaces by name).
 
-        ``digest`` is the trace's content identity (source sha256) when
-        the caller knows it — it keys memoized aggregate partials.
+        A replaced session's cached answers go with it.  ``digest`` is
+        the trace's content identity (source sha256) when the caller
+        knows it — it keys memoized aggregate partials.
         """
         record = SessionRecord(name, trace, source, digest=digest)
+        if name in self.sessions:
+            self.cache.drop_session(name)
         self.sessions[name] = record
         self.stats.ingested += 1
         if self.bus is not None:

@@ -10,6 +10,7 @@ report backends must render the same JSON bytes.
 """
 
 import json
+import random
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -257,6 +258,82 @@ def test_random_link_logs_match_the_rescan(raw, a, b):
     start, end = float(min(a, b)), float(max(a, b))
     assert_same_windows(trace, start, end)
     assert_same_windows(trace, 0.0, 16.0)
+
+
+def _boundary_windows(trace: DeviceTrace, seed: int, count: int):
+    """Seeded windows in random order: starts on link boundaries,
+    empty windows, and ends past ``captured_at``."""
+    rng = random.Random(seed)
+    cap = trace.captured_at
+    bounds = sorted(
+        {l.begin_time for l in trace.links}
+        | {l.end_time for l in trace.links if l.end_time is not None}
+    )
+    windows = [(0.0, cap), (0.0, cap * 1.5), (cap, cap), (cap, cap * 2.0)]
+    for _ in range(count):
+        start = rng.choice(bounds)
+        kind = rng.randrange(4)
+        if kind == 0:
+            end = start
+        elif kind == 1:
+            end = start + rng.uniform(0.0, cap * 1.5)
+        elif kind == 2:
+            end = max(start, rng.choice(bounds))
+        else:
+            start = rng.uniform(0.0, cap)
+            end = start + rng.uniform(0.0, cap)
+        windows.append((start, end))
+    rng.shuffle(windows)
+    return windows
+
+
+def _open_and_zero_length_links_trace() -> DeviceTrace:
+    links = [
+        LinkRecord("bind", 1, 2, 10.0, None),
+        LinkRecord("bind", 2, 9, 4.0, 30.0),
+        LinkRecord("bind", 2, 17, 4.0, 30.0),
+        LinkRecord("bind", 1, 3, 2.0, 12.0),
+        LinkRecord("bind", 3, 17, 6.0, 18.0),
+        LinkRecord("bind", 3, 9, 8.0, 8.0),  # zero length
+        LinkRecord("wakelock", 9, SCREEN_TARGET, 5.0, None),
+        LinkRecord("bind", 17, 1, 20.0, 20.0),  # zero length
+        LinkRecord("bind", 10050, 9, 12.0, 25.0),
+        LinkRecord("bind", 10050, 2, 25.0, None),
+    ]
+    return _synthetic_trace(links, captured_at=40.0)
+
+
+@pytest.mark.parametrize("source", ["generated", "synthetic"])
+def test_one_analyzer_answers_windows_in_any_order(source):
+    # One analyzer, so every window after the first reads a reused index.
+    if source == "generated":
+        trace = _generated_trace(31, 400, packages=5)
+    else:
+        trace = _open_and_zero_length_links_trace()
+    analyzer = OfflineAnalyzer(trace)
+    reference = ReferenceAnalyzer(trace)
+    for start, end in _boundary_windows(trace, seed=7, count=40):
+        expected = reference_link_windows(trace, start, end)
+        assert _ordered(analyzer._link_windows(start, end)) == _ordered(expected)
+        for backend in BACKENDS:
+            request = ReportRequest(backend=backend, start=start, end=end)
+            assert json.dumps(analyzer.describe(request).to_dict()) == json.dumps(
+                reference.describe(request).to_dict()
+            ), (backend, start, end)
+
+
+def test_direct_backends_build_no_index():
+    trace = _generated_trace(32, 200)
+    analyzer = OfflineAnalyzer(trace)
+    for backend in ("energy", "batterystats", "powertutor"):
+        analyzer.describe(ReportRequest(backend=backend))
+    assert analyzer._link_index is None
+    analyzer.describe(ReportRequest(backend="eandroid"))
+    index = analyzer._link_index
+    assert index is not None
+    analyzer.describe(ReportRequest(backend="collateral", start=1.0))
+    analyzer.collateral_breakdown(next(iter(index.hosts)))
+    assert analyzer._link_index is index
 
 
 def test_binary_round_trip_through_the_lazy_reader():

@@ -138,6 +138,28 @@ class TestServing:
         assert second.cached_report is first.cached_report is not None
         assert first.cached_report.text is None
 
+    def test_reingest_under_the_same_name_drops_the_old_answers(self, scene_trace):
+        attack = run_attack3()
+        attack_trace = capture_trace(attack.system, attack.eandroid)
+        svc = ProfilingService(ServiceConfig(telemetry=False))
+        client = ServiceClient(svc)
+        svc.ingest_trace("x", scene_trace, "test")
+        (energy,) = client.build("x", "energy")
+        (collateral,) = client.build("x", "collateral")
+        before = svc.submit(energy)
+        old_collateral = svc.submit(collateral)
+        svc.ingest_trace("x", attack_trace, "test")
+        fresh = ProfilingService(ServiceConfig(telemetry=False))
+        fresh.ingest_trace("x", attack_trace, "test")
+        after = svc.submit(energy)
+        assert not after.cached
+        assert after.report == fresh.submit(energy).report != before.report
+        # The new record's analyzer sweeps the new trace's links.
+        again = svc.submit(collateral)
+        assert not again.cached
+        assert again.report == fresh.submit(collateral).report
+        assert again.report["entries"] and again.report != old_collateral.report
+
     def test_unobserved_queries_build_no_events(self, scene_trace, monkeypatch):
         """With no SERVE subscriber a query only ticks the bus: the bus
         counts the same, and a subscriber still gets every event."""
