@@ -31,13 +31,14 @@ from ..power.trace import PowerTrace
 from ..telemetry.events import SCREEN_TARGET
 from .trace import DeviceTrace
 
-INF = float("inf")
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reports.request import ReportRequest
     from ..reports.view import ProfilerReportView
 
 
+INF = float("inf")
+
+#: target -> one host's charge windows
 Windows = Dict[int, List[Tuple[float, float]]]
 
 
@@ -169,7 +170,7 @@ class LinkWindows(Mapping):
         self.start = start
         self.end = end
 
-    def get(self, host, default=None):
+    def get(self, host: int, default: Optional[Windows] = None) -> Optional[Windows]:
         return self._index.clip(host, self.start, self.end) or default
 
     def __getitem__(self, host: int) -> Windows:
@@ -295,9 +296,7 @@ class OfflineAnalyzer:
         clipped from the link index one host at a time as it is read."""
         return LinkWindows(self._index(), start, end)
 
-    def _breakdown(
-        self, host_windows: Dict[int, List[Tuple[float, float]]]
-    ) -> Dict[int, float]:
+    def _breakdown(self, host_windows: Windows) -> Dict[int, float]:
         """target -> joules over one host's charge windows."""
         breakdown: Dict[int, float] = {}
         for target, intervals in host_windows.items():

@@ -1,10 +1,10 @@
 """The analyzer's link-window sweep equals a plain rescan, key order included.
 
-``OfflineAnalyzer._link_windows`` derives per-(host, target) charge
-windows in one sweep over the link log.  The reference kept here is the
-straightforward form it replaced: at every segment between link
-boundaries, rescan every link for the live set and walk reachability
-over that whole list.  Both must give the same window map with the same
+``OfflineAnalyzer._link_windows`` clips per-(host, target) charge
+windows from one sweep of the trace's link log, made once per analyzer.
+The reference kept here is the straightforward form: at every segment
+between link boundaries, rescan every link for the live set and walk
+reachability over that whole list.  Both must give the same window map with the same
 dict key order (``collateral_j`` order reaches the wire), and the five
 report backends must render the same JSON bytes.
 """
