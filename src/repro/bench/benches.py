@@ -267,8 +267,10 @@ def bench_offline_windowed(repeats: int) -> BenchMeasurement:
     ``eandroid_hook`` scenario's trace answers a fixed set of windowed
     ``eandroid``/``collateral`` requests, as a session's analyzer
     answers cache misses; its link index is built before the timing.
-    ``cold_first_query_ms`` is the median time of a fresh analyzer's
-    first ``eandroid`` request over the whole trace, which builds it.
+    ``cold_first_query_ms`` is the best time, over the repeats, of a
+    fresh analyzer's first ``eandroid`` request over the whole trace,
+    which builds it: one such query is short enough that the median
+    mostly shows the machine's noise.
     """
     from ..check.generator import generate_scenario
     from ..check.runner import ScenarioExecutor
@@ -303,7 +305,7 @@ def bench_offline_windowed(repeats: int) -> BenchMeasurement:
             "queries": len(requests),
             "links": len(trace.links),
             "us_per_query": 1e6 * median / len(requests),
-            "cold_first_query_ms": 1000.0 * sorted(cold_times)[len(cold_times) // 2],
+            "cold_first_query_ms": 1000.0 * min(cold_times),
         },
     )
 
