@@ -19,10 +19,11 @@ from repro.workloads.microbench import build_configured_system
 
 
 def test_bench_map_sync_chain_depth(benchmark):
-    """Algorithm 1 sync cost with a 40-deep live attack chain.
+    """Algorithm 1 sweep cost with a 40-deep live attack chain.
 
-    Ending and reopening the chain's tail link changes what every host
-    upstream of it reaches, so each round re-diffs all 40 maps.
+    Ending and reopening the chain's tail link changes the live links of
+    a driver every host upstream of it reaches, so each round's read
+    re-walks all 40 hosts' reach.
     """
     kernel = Kernel()
     meter = EnergyMeter(kernel)
@@ -33,13 +34,16 @@ def test_bench_map_sync_chain_depth(benchmark):
     ]
 
     def end_and_reopen_tail():
+        kernel.run_for(1.0)
         tail = links[-1]
         accounting.end_attack(tail)
         links[-1] = accounting.begin_attack(tail.kind, tail.driving_uid, tail.target)
+        accounting.hosts()  # this read sweeps the previous round's edges
 
     benchmark(end_and_reopen_tail)
-    # The deepest host reaches every downstream app.
-    assert len(accounting.maps.map_for(10000).open_targets()) == 40
+    # The deepest host is charged for every downstream app.
+    kernel.run_for(1.0)
+    assert len(accounting.map_for(10000)) == 40
 
 
 def test_bench_windowed_energy_query(benchmark):

@@ -22,7 +22,8 @@ from repro.core import SCREEN_TARGET
 
 def show_map(device, eandroid, uid, label) -> None:
     pm = device.package_manager
-    targets = eandroid.accounting.map_for(uid).open_targets()
+    # the targets charging to uid now: those its live links reach
+    targets = eandroid.accounting.graph.reachable_from(uid)
     names = sorted(
         "Screen" if t == SCREEN_TARGET else pm.label_for_uid(t) for t in targets
     )

@@ -85,10 +85,6 @@ class DisplayManager:
         """The level the ambient sensor currently dictates."""
         return self._auto_brightness
 
-    def window_brightness_of(self, uid: int) -> Optional[int]:
-        """An app's window brightness override, if set."""
-        return self._window_brightness.get(uid)
-
     # ------------------------------------------------------------------
     # screen power state (driven by PowerManagerService)
     # ------------------------------------------------------------------

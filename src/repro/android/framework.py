@@ -32,8 +32,6 @@ from .app import App
 from .binder import Binder
 from .display import DisplayManager
 from .intent import (
-    ACTION_SCREEN_OFF,
-    ACTION_SCREEN_ON,
     ACTION_USER_PRESENT,
     Intent,
     implicit,
@@ -201,18 +199,6 @@ class AndroidSystem:
         self.power_manager.user_activity()
         self.am.send_broadcast(
             self.package_manager.system_uid, implicit(ACTION_USER_PRESENT)
-        )
-
-    def screen_on_broadcast(self) -> None:
-        """Fire ACTION_SCREEN_ON (kept separate from the power path)."""
-        self.am.send_broadcast(
-            self.package_manager.system_uid, implicit(ACTION_SCREEN_ON)
-        )
-
-    def screen_off_broadcast(self) -> None:
-        """Fire ACTION_SCREEN_OFF."""
-        self.am.send_broadcast(
-            self.package_manager.system_uid, implicit(ACTION_SCREEN_OFF)
         )
 
     # ------------------------------------------------------------------

@@ -34,7 +34,6 @@ class PackageManager:
         self._apps_by_uid: Dict[int, "App"] = {}
         self._app_uids = itertools.count(FIRST_APPLICATION_UID)
         self._system_uids = itertools.count(SYSTEM_UID)
-        self._system_packages: set = set()
 
     @property
     def system_uid(self) -> int:
@@ -52,8 +51,6 @@ class PackageManager:
         uid = next(self._system_uids) if system_app else next(self._app_uids)
         self._apps_by_package[package] = app
         self._apps_by_uid[uid] = app
-        if system_app:
-            self._system_packages.add(package)
         return uid
 
     def uninstall(self, package: str) -> None:
@@ -62,7 +59,6 @@ class PackageManager:
         del self._apps_by_package[package]
         if app.uid is not None:
             self._apps_by_uid.pop(app.uid, None)
-        self._system_packages.discard(package)
 
     # ------------------------------------------------------------------
     # lookups
@@ -97,10 +93,6 @@ class PackageManager:
     def is_system_uid(self, uid: int) -> bool:
         """Whether a uid belongs to the system / built-in apps."""
         return uid < FIRST_APPLICATION_UID
-
-    def is_system_package(self, package: str) -> bool:
-        """Whether a package was installed as a system app."""
-        return package in self._system_packages
 
     # ------------------------------------------------------------------
     # permissions

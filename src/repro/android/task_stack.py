@@ -110,12 +110,6 @@ class TaskStackSupervisor:
             self._tasks.remove(task)
         self._tasks.append(task)
 
-    def move_to_back(self, task: TaskRecord) -> None:
-        """Send a task behind every other task."""
-        if task in self._tasks:
-            self._tasks.remove(task)
-        self._tasks.insert(0, task)
-
     def remove_if_empty(self, task: TaskRecord) -> bool:
         """Drop a task that has no activities left."""
         if task.empty and task in self._tasks:
@@ -135,13 +129,6 @@ class TaskStackSupervisor:
     def all_records(self) -> List[ActivityRecord]:
         """Every live activity record, back to front, bottom to top."""
         return [record for task in self._tasks for record in task.activities]
-
-    def find_record(self, record_id: int) -> Optional[ActivityRecord]:
-        """Look up a record by id."""
-        for record in self.all_records():
-            if record.record_id == record_id:
-                return record
-        return None
 
     def records_of_uid(self, uid: int) -> List[ActivityRecord]:
         """Every live record belonging to a uid."""

@@ -83,8 +83,8 @@ def energy_conservation(system: "AndroidSystem", ea: "EAndroid") -> List[OracleV
 def _reference_reachable(live_links: Sequence["AttackLink"], host: int) -> Set[int]:
     """Targets reachable from ``host`` by a plain scan of the live links.
 
-    Deliberately independent of the maps' live-link index and walks
-    (:class:`~repro.core.energy_map.LiveIndex`), which this oracle is
+    Deliberately independent of the link index and its walks
+    (:class:`~repro.core.links.LinkIndex`), which this oracle is
     checking.
     """
     reached: Set[int] = set()
@@ -102,35 +102,35 @@ def _reference_reachable(live_links: Sequence["AttackLink"], host: int) -> Set[i
 
 
 def map_link_consistency(system: "AndroidSystem", ea: "EAndroid") -> List[OracleViolation]:
-    """Open map elements mirror live-link reachability exactly.
+    """The windows open at ``now`` mirror live-link reachability exactly.
 
-    Every uid that ever drove a link, and every uid with a map, is
-    checked against a reachability computed here from the raw link
-    lists, not through the index the map fold walks.
+    A map reads the links up to ``now``: a target is charged up to
+    ``now`` iff it is reachable over the links live just before it (begun
+    before ``now``, not ended before it).  Every uid that ever drove a
+    link is checked against a reachability computed here from the raw
+    link list, not through the index the maps read.
     """
     out: List[OracleViolation] = []
     accounting = ea.accounting
-    live_links = [link for link in accounting.graph.all_links() if link.alive]
-    hosts = {link.driving_uid for link in accounting.graph.all_links()}
-    hosts |= accounting.maps.hosts()
-    for host in sorted(hosts):
-        host_map = accounting.map_for(host)
+    now = system.now
+    links = accounting.graph.all_links()
+    live_links = [
+        link
+        for link in links
+        if link.begin_time < now and (link.end_time is None or link.end_time >= now)
+    ]
+    for host in sorted({link.driving_uid for link in links}):
         open_targets = {
-            target for target, element in host_map.items() if element.is_open
+            target
+            for target, spans in accounting.map_for(host).items()
+            if spans[-1][1] == now
         }
         reachable = _reference_reachable(live_links, host)
         if open_targets != reachable:
             out.append(OracleViolation(
                 "map_link_consistency",
-                f"host {host}: open elements {sorted(open_targets)} != "
+                f"host {host}: windows open at {now!r} {sorted(open_targets)} != "
                 f"reachable {sorted(reachable)}",
-            ))
-        indexed = host_map.open_targets()
-        if indexed != open_targets:
-            out.append(OracleViolation(
-                "map_link_consistency",
-                f"host {host}: open-target index {sorted(indexed)} != "
-                f"open elements {sorted(open_targets)}",
             ))
     return out
 
@@ -139,26 +139,20 @@ def window_well_formedness(system: "AndroidSystem", ea: "EAndroid") -> List[Orac
     """Charge windows are ordered, non-overlapping, and within [0, now]."""
     out: List[OracleViolation] = []
     now = system.now
-    for host in sorted(ea.accounting.maps.hosts()):
-        for target, element in sorted(ea.accounting.map_for(host).items()):
+    for host in ea.accounting.hosts():
+        for target, spans in sorted(ea.accounting.map_for(host).items()):
             previous_end = -1.0
-            for start, end in element.closed:
-                if not (start < end <= now + ABS_TOL) or start < previous_end - ABS_TOL:
+            for start, end in spans:
+                if not (
+                    0.0 <= start < end <= now + ABS_TOL
+                ) or start < previous_end - ABS_TOL:
                     out.append(OracleViolation(
                         "window_well_formedness",
-                        f"host {host} target {target}: bad closed window "
+                        f"host {host} target {target}: bad window "
                         f"({start!r}, {end!r}) after end {previous_end!r} "
                         f"at now {now!r}",
                     ))
                 previous_end = max(previous_end, end)
-            if element.open_since is not None and not (
-                previous_end - ABS_TOL <= element.open_since <= now + ABS_TOL
-            ):
-                out.append(OracleViolation(
-                    "window_well_formedness",
-                    f"host {host} target {target}: open_since "
-                    f"{element.open_since!r} outside [{previous_end!r}, {now!r}]",
-                ))
     return out
 
 
@@ -317,12 +311,9 @@ def differential_reconciliation(
     accounting = ea.accounting
     recomputed_sum = 0.0
     reported_sum = 0.0
-    for host in sorted(accounting.maps.hosts()):
+    for host in accounting.hosts():
         recomputed: Dict[int, float] = {}
-        for target, element in accounting.map_for(host).items():
-            intervals = element.clipped_intervals(0.0, now)
-            if not intervals:
-                continue
+        for target, intervals in accounting.map_for(host).items():
             joules = accounting.policy.charged_energy(meter, target, intervals)
             if joules > 0:
                 recomputed[target] = joules

@@ -48,9 +48,7 @@ Commands:
 
 Observability flags are uniform: every run-producing subcommand takes
 ``--telemetry`` (print/collect event-bus metrics) and ``--trace-out
-FILE`` (write a Chrome trace-event JSON).  The pre-normalization
-spellings ``--bus-stats`` and ``--chrome-trace`` remain as hidden
-aliases.
+FILE`` (write a Chrome trace-event JSON).
 """
 
 from __future__ import annotations
@@ -794,21 +792,10 @@ def _add_observability_flags(
 ) -> None:
     """The uniform ``--telemetry`` / ``--trace-out`` pair.
 
-    Every run-producing subcommand spells these two the same way; the
-    pre-normalization spellings (``--bus-stats``, ``--chrome-trace``)
-    stay accepted as hidden aliases so existing scripts keep working.
+    Every run-producing subcommand spells these two the same way.
     """
     sub.add_argument("--telemetry", action="store_true", help=telemetry_help)
-    sub.add_argument(
-        "--bus-stats",
-        dest="telemetry",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
     sub.add_argument("--trace-out", default="", help=trace_out_help)
-    sub.add_argument(
-        "--chrome-trace", dest="trace_out", default="", help=argparse.SUPPRESS
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

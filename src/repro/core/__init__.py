@@ -8,10 +8,9 @@ tracking (Fig. 5), collateral energy maps with chain propagation
 from .accounting import EAndroidAccounting
 from .analysis import AttackGraphAnalyzer, ChainReport
 from .eandroid import EAndroid, attach_eandroid, attach_eandroid_powertutor
-from .energy_map import CollateralEnergyMap, CollateralMapSet, ElementWindow
 from .events import CollateralEvent, CollateralEventType, EventLog
 from .interface import EAndroidBatteryInterface
-from .links import SCREEN_TARGET, AttackKind, AttackLink, LinkGraph
+from .links import SCREEN_TARGET, AttackKind, AttackLink, LinkGraph, LinkIndex
 from .monitor import EAndroidMonitor
 from .detector import CollateralEnergyDetector, Suspicion
 from .policy import ChargePolicy, FullCharge, ProportionalSplit, ScreenDelta
@@ -31,14 +30,12 @@ __all__ = [
     "ProportionalSplit",
     "ScreenDelta",
     "EAndroidBatteryInterface",
-    "CollateralEnergyMap",
-    "CollateralMapSet",
-    "ElementWindow",
     "CollateralEvent",
     "CollateralEventType",
     "EventLog",
     "AttackKind",
     "AttackLink",
     "LinkGraph",
+    "LinkIndex",
     "SCREEN_TARGET",
 ]

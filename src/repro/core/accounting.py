@@ -1,9 +1,10 @@
 """E-Android's enhanced energy accounting module.
 
 The second of the paper's three components: it receives attack-link
-begin/end notifications from the monitor, logs them, derives the
-collateral energy maps from that log (Algorithm 1, folded in when the
-maps are read), and — on demand — converts charge windows into joules
+begin/end notifications from the monitor, logs them in the link graph,
+derives each app's collateral energy map from that log (Algorithm 1: a
+:class:`~repro.core.links.LinkIndex`, swept up to the current time when
+a map is read), and — on demand — converts charge windows into joules
 against the hardware meter's ground truth.
 
 "Note that only the part of energy consumption during the attack
@@ -14,18 +15,16 @@ clipped to the report interval.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
-from ..power.meter import SCREEN_OWNER, EnergyMeter
+from ..power.meter import EnergyMeter
 from ..telemetry import (
     AttackWindowBeginEvent,
     AttackWindowEndEvent,
     Category,
     TelemetryBus,
 )
-from .energy_map import CollateralEnergyMap, CollateralMapSet, LinkEdge
-from .links import SCREEN_TARGET, AttackKind, AttackLink, LinkGraph
+from .links import AttackKind, AttackLink, LinkGraph, LinkIndex, Windows
 from .policy import ChargePolicy, FullCharge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,44 +44,21 @@ class EAndroidAccounting:
         self._kernel = kernel
         self._meter = meter
         self._telemetry = telemetry
-        self._policy = policy if policy is not None else FullCharge()
-        self._policy_token = 0
+        #: the active collateral charge policy
+        self.policy = policy if policy is not None else FullCharge()
         self.graph = LinkGraph()
-        self._maps = CollateralMapSet()
-        # Link begin/end edges not yet folded into the maps.
-        self._edges: List[LinkEdge] = []
-        # (host, start, end) -> per-target charge memo.  Each target's
-        # joules are keyed on (element version, target trace epoch,
-        # policy identity), so reconciliation passes reuse every charge
-        # whose windows and underlying trace did not change instead of
-        # rescanning unrelated apps.
-        self._breakdown_cache: "OrderedDict[Tuple[int, float, float], Dict[int, Tuple]]" = (
-            OrderedDict()
-        )
+        # Algorithm 1 over the graph's link log, swept on each read
+        self._index = LinkIndex(self.graph.links, until=0.0)
 
-    @property
-    def maps(self) -> CollateralMapSet:
-        """The collateral energy maps, current as of this read.
+    def _index_now(self) -> LinkIndex:
+        """The link index, swept up to the current time.
 
-        Algorithm 1 runs here, not on each link change: the edges logged
-        since the last read are folded in, in order, so the maps come
-        out exactly as an eager per-event sync would leave them.
+        Edges logged at the current time are left for a later read: they
+        cannot change a window that ends now.
         """
-        edges = self._edges
-        if edges:
-            self._maps.fold(edges)
-            edges.clear()
-        return self._maps
-
-    @property
-    def policy(self) -> ChargePolicy:
-        """The active collateral charge policy."""
-        return self._policy
-
-    @policy.setter
-    def policy(self, policy: ChargePolicy) -> None:
-        self._policy = policy
-        self._policy_token += 1  # invalidate every memoized charge
+        index = self._index
+        index.commit(self._kernel.now)
+        return index
 
     # ------------------------------------------------------------------
     # link lifecycle (driven by the monitor)
@@ -90,10 +66,9 @@ class EAndroidAccounting:
     def begin_attack(
         self, kind: AttackKind, driving_uid: int, target: int, detail: str = ""
     ) -> AttackLink:
-        """Open an attack link and log the edge for the maps."""
+        """Open an attack link in the graph's log."""
         now = self._kernel.now
         link = self.graph.begin(kind, driving_uid, target, now, detail)
-        self._edges.append((now, True, link))
         telemetry = self._telemetry
         if telemetry is not None:
             if telemetry.wants(Category.ATTACK):
@@ -112,10 +87,9 @@ class EAndroidAccounting:
         return link
 
     def end_attack(self, link: AttackLink) -> None:
-        """Close an attack link and log the edge for the maps."""
+        """Close an attack link in the graph's log."""
         now = self._kernel.now
-        if self.graph.end(link, now):
-            self._edges.append((now, False, link))
+        self.graph.end(link, now)
         telemetry = self._telemetry
         if telemetry is not None:
             if telemetry.wants(Category.ATTACK):
@@ -137,11 +111,13 @@ class EAndroidAccounting:
     # ------------------------------------------------------------------
     def hosts(self) -> List[int]:
         """Apps with any collateral charge, past or present."""
-        return sorted(self.maps.hosts())
+        index = self._index_now()
+        return [host for host in index.sorted_hosts if index.runs[host]]
 
-    def map_for(self, host_uid: int) -> CollateralEnergyMap:
-        """One app's collateral energy map."""
-        return self.maps.map_for(host_uid)
+    def map_for(self, host_uid: int) -> Windows:
+        """One app's collateral energy map: target -> its charge windows
+        over ``[0, now]``."""
+        return self._index_now().clip(host_uid, 0.0, self._kernel.now)
 
     def collateral_breakdown(
         self, host_uid: int, start: float = 0.0, end: Optional[float] = None
@@ -154,43 +130,13 @@ class EAndroidAccounting:
         (host, target) pair even under multi-collateral attack (Fig. 6).
         """
         window_end = self._kernel.now if end is None else end
-        cache_key = (host_uid, start, window_end)
-        memo = self._breakdown_cache.get(cache_key)
-        if memo is None:
-            memo = {}
-            self._breakdown_cache[cache_key] = memo
-            if len(self._breakdown_cache) > 16:
-                self._breakdown_cache.popitem(last=False)
-        else:
-            self._breakdown_cache.move_to_end(cache_key)
         breakdown: Dict[int, float] = {}
-        for target, element in self.maps.map_for(host_uid).items():
-            trace_owner = SCREEN_OWNER if target == SCREEN_TARGET else target
-            charge_version = (
-                element.version,
-                self._meter.owner_epoch(trace_owner),
-                self._policy_token,
-            )
-            cached = memo.get(target)
-            if cached is not None and cached[0] == charge_version:
-                total = cached[1]
-            else:
-                intervals = element.clipped_intervals(start, window_end)
-                total = (
-                    self.policy.charged_energy(self._meter, target, intervals)
-                    if intervals
-                    else 0.0
-                )
-                memo[target] = (charge_version, total)
+        windows = self._index_now().clip(host_uid, start, window_end)
+        for target, intervals in windows.items():
+            total = self.policy.charged_energy(self._meter, target, intervals)
             if total > 0:
                 breakdown[target] = total
         return breakdown
-
-    def collateral_total(
-        self, host_uid: int, start: float = 0.0, end: Optional[float] = None
-    ) -> float:
-        """Total collateral joules charged to an app."""
-        return sum(self.collateral_breakdown(host_uid, start, end).values())
 
     # ------------------------------------------------------------------
     # introspection

@@ -132,28 +132,6 @@ def attack_log_to_json(
 
 
 # ----------------------------------------------------------------------
-# device traces
-# ----------------------------------------------------------------------
-def save_trace(trace, path: PathLike, binary=None) -> Path:
-    """Write a :class:`~repro.offline.DeviceTrace` to disk.
-
-    Format defaults from the suffix (``.bin``/``.rtb`` → the columnar
-    binary format, else JSON); pass ``binary`` to override.  Parent
-    directories are created.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    return trace.save(target, binary=binary)
-
-
-def load_trace(path: PathLike):
-    """Read a :class:`~repro.offline.DeviceTrace` in either format."""
-    from .offline.trace import DeviceTrace
-
-    return DeviceTrace.load(path)
-
-
-# ----------------------------------------------------------------------
 # file helpers
 # ----------------------------------------------------------------------
 def save_text(path: PathLike, content: str) -> Path:

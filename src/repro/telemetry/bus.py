@@ -158,12 +158,6 @@ class TelemetryBus:
         """
         return bool(self._wildcard) or bool(self._by_category.get(category))
 
-    def subscriber_count(self) -> int:
-        """Total attached subscriptions."""
-        return len(self._wildcard) + sum(
-            len(pool) for pool in self._by_category.values()
-        )
-
     # ------------------------------------------------------------------
     # publication
     # ------------------------------------------------------------------

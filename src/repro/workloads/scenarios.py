@@ -88,12 +88,6 @@ class ScenarioRun:
         """What E-Android's revised interface shows for the window."""
         return self.eandroid.report(self.start, self.end)
 
-    def ground_truth_j(self, uid: int) -> float:
-        """Meter truth for one uid over the window."""
-        return self.system.hardware.meter.energy_j(
-            owner=uid, start=self.start, end=self.end
-        )
-
 
 def _fresh(*builders: Callable, baseline: str = "batterystats") -> tuple:
     system = AndroidSystem()

@@ -247,9 +247,12 @@ class TestMultiAttack:
         victim = system.uid_of(VICTIM_PACKAGE)
         live = [l for l in ea.accounting.live_attacks() if l.target == victim]
         assert len(live) >= 3  # bind + start + activity (+ interrupt)
-        element = ea.accounting.map_for(malware).element(victim)
-        assert element.is_open
-        assert element.closed == []
+        began = max(l.begin_time for l in live)
+        system.run_for(1.0)
+        # one window, open since the links began and still charging now
+        [(start, end)] = ea.accounting.map_for(malware)[victim]
+        assert start <= began
+        assert end == system.now
 
 
 class TestHybridChain:

@@ -306,22 +306,25 @@ class TestCliServe:
 
 
 class TestObservabilityFlagAliases:
-    """`--bus-stats` / `--chrome-trace` stay accepted as hidden aliases."""
+    """The pre-normalization spellings `--bus-stats` / `--chrome-trace`
+    are gone: only `--telemetry` / `--trace-out` are accepted."""
 
     def test_bus_stats_alias(self, capsys):
-        assert main(["attack", "attack3", "--duration", "20", "--bus-stats"]) == 0
-        assert "wakelock" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["attack", "attack3", "--duration", "20", "--bus-stats"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bus-stats" in capsys.readouterr().err
 
     def test_chrome_trace_alias(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert (
+        with pytest.raises(SystemExit) as exit_info:
             main(
                 ["attack", "attack3", "--duration", "20",
                  "--chrome-trace", str(out)]
             )
-            == 0
-        )
-        assert out.exists()
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --chrome-trace" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_aliases_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):

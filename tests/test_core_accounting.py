@@ -79,14 +79,13 @@ class TestWindowedEnergy:
         system.run_for(10.0)
         system.am.stop_service(a, svc)  # start-link ends, bind remains
         system.run_for(10.0)
-        element = ea.accounting.map_for(a).element(b)
-        assert element.is_open
+        # Still charging: the one window reaches now.
+        assert ea.accounting.map_for(a)[b] == [(0.0, 20.0)]
         system.am.unbind_service(conn)
-        # Maps are current as of their last read: fetch the element again.
-        element = ea.accounting.map_for(a).element(b)
-        assert not element.is_open
-        # One contiguous 20 s window.
-        assert element.closed == [(0.0, 20.0)]
+        assert b not in ea.accounting.graph.reachable_from(a)
+        system.run_for(5.0)
+        # One contiguous 20 s window, closed at the unbind.
+        assert ea.accounting.map_for(a)[b] == [(0.0, 20.0)]
 
     def test_collateral_never_exceeds_target_ground_truth(self, rig):
         system, ea = rig
@@ -135,11 +134,17 @@ class TestHybridChain:
         a, b, c, conn = self.run_chain(system, ea)
         system.run_for(30.0)
         system.systemui.user_set_brightness(100)
-        assert not ea.accounting.map_for(a).element(SCREEN_TARGET).is_open
-        assert not ea.accounting.map_for(b).element(SCREEN_TARGET).is_open
+        ended = system.now
+        graph = ea.accounting.graph
+        assert graph.reachable_from(a) == {b, c}
+        assert graph.reachable_from(b) == {c}
+        system.run_for(10.0)
+        map_a = ea.accounting.map_for(a)
+        assert map_a[SCREEN_TARGET][-1][1] == ended
+        assert ea.accounting.map_for(b)[SCREEN_TARGET][-1][1] == ended
         # Apps B and C are still charged to A — their links live on.
-        assert ea.accounting.map_for(a).element(b).is_open
-        assert ea.accounting.map_for(a).element(c).is_open
+        assert map_a[b][-1][1] == system.now
+        assert map_a[c][-1][1] == system.now
 
     def test_user_start_ends_chain_elements(self, rig):
         """Fig. 7: 'User starts B, C -> Collateral Attack End (B, C)'."""
@@ -148,8 +153,13 @@ class TestHybridChain:
         system.run_for(30.0)
         system.am.unbind_service(conn)
         system.launch_app("com.appc")
-        map_a = ea.accounting.map_for(a)
-        assert map_a.open_targets() == set()
+        assert ea.accounting.graph.reachable_from(a) == set()
+        system.run_for(5.0)
+        # every window of A's map closed before now
+        assert all(
+            spans[-1][1] < system.now
+            for spans in ea.accounting.map_for(a).values()
+        )
 
     def test_service_backpropagation(self, rig):
         """Algorithm 1 lines 11-15: binding an app that already drives
@@ -163,10 +173,12 @@ class TestHybridChain:
         system.run_for(10.0)
         # ...then A binds B: A's map must contain both B and C.
         system.am.bind_service(a, explicit("com.appb", "PlainService"))
-        assert ea.accounting.map_for(a).open_targets() == {b, c}
+        assert ea.accounting.graph.reachable_from(a) == {b, c}
+        system.run_for(5.0)
         # But C's charge to A starts at the moment of A's bind, not B's.
-        element = ea.accounting.map_for(a).element(c)
-        assert element.open_since == pytest.approx(10.0)
+        [(start, end)] = ea.accounting.map_for(a)[c]
+        assert start == pytest.approx(10.0)
+        assert end == system.now
 
 
 class TestInterface:

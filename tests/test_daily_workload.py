@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accounting import BatteryStats, PowerTutor
+from repro.check.oracles import map_link_consistency
 from repro.core import SCREEN_TARGET
 from repro.workloads import run_day
 
@@ -59,11 +60,7 @@ class TestDayInvariants:
                 assert joules <= ground + 1e-6
 
     def test_maps_match_reachability_at_end(self, day):
-        graph = day.eandroid.accounting.graph
-        for host in graph.hosts():
-            assert day.eandroid.accounting.map_for(
-                host
-            ).open_targets() == graph.reachable_from(host)
+        assert map_link_consistency(day.system, day.eandroid) == []
 
     def test_malware_visible_in_eandroid_not_batterystats(self, day):
         stock = BatteryStats(day.system).report()

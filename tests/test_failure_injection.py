@@ -104,13 +104,14 @@ class TestChainCollapse:
         leaf = system.uid_of("com.third")
         system.am.bind_service(mal, explicit("com.vic", "PlainService"))
         system.am.bind_service(mid, explicit("com.third", "PlainService"))
-        assert ea.accounting.map_for(mal).open_targets() == {mid, leaf}
+        assert ea.accounting.graph.reachable_from(mal) == {mid, leaf}
         system.run_for(5.0)
         system.am.force_stop("com.vic")
         # Both hops through the middle app die: malware's map closes.
-        assert ea.accounting.map_for(mal).open_targets() == set()
+        assert ea.accounting.graph.reachable_from(mal) == set()
+        system.run_for(1.0)
         # The charge windows were archived intact.
-        assert ea.accounting.map_for(mal).element(leaf).closed == [(0.0, 5.0)]
+        assert ea.accounting.map_for(mal)[leaf] == [(0.0, 5.0)]
 
     def test_whole_cast_dies_no_dangling_state(self, rig):
         system, ea = rig

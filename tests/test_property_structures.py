@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from repro.accounting.attribution import foreground_spans
 from repro.android import AndroidManifest, ComponentDecl, ComponentKind, IntentFilterDecl
 from repro.android.timeline import ForegroundTimeline
-from repro.core import AttackKind, LinkGraph
-from repro.core.energy_map import CollateralMapSet
+from repro.core import AttackKind, LinkGraph, LinkIndex
 from repro.power import Battery, EnergyMeter
 from repro.sim import Kernel
 
@@ -267,39 +266,71 @@ class TestGraphMapProperties:
     @given(link_scripts())
     def test_maps_always_match_reachability(self, script):
         graph = LinkGraph()
-        maps = CollateralMapSet()
+        index = LinkIndex(graph.links, until=0.0)
         live = []
         time = 0.0
         for action, a, b in script:
             time += 1.0
             if action == "begin" and a != b:
                 live.append(graph.begin(AttackKind.ACTIVITY, a, b, time))
-                maps.sync(time, graph, a)
             elif action == "end" and live:
                 link = live.pop(a % len(live))
                 graph.end(link, time)
-                maps.sync(time, graph, link.driving_uid)
             assert graph.hosts() == {l.driving_uid for l in graph.all_links()}
+            # read between this edge and the next: the windows still open
+            # are exactly the targets the live links reach
+            read_at = time + 0.5
+            index.commit(read_at)
             for host in graph.hosts():
                 expected = _scan_reachable(graph, host)
                 assert graph.reachable_from(host) == expected
-                assert maps.map_for(host).open_targets() == expected
+                windows = index.clip(host, 0.0, read_at)
+                assert {t for t, spans in windows.items() if spans[-1][1] == read_at} == expected
 
     @given(link_scripts())
     def test_total_window_time_bounded_by_elapsed(self, script):
         graph = LinkGraph()
-        maps = CollateralMapSet()
         live = []
         time = 0.0
         for action, a, b in script:
             time += 1.0
             if action == "begin" and a != b:
                 live.append(graph.begin(AttackKind.SERVICE_BIND, a, b, time))
-                maps.sync(time, graph, a)
             elif action == "end" and live:
                 link = live.pop(a % len(live))
                 graph.end(link, time)
-                maps.sync(time, graph, link.driving_uid)
+        index = LinkIndex(graph.links)
         for host in graph.hosts():
-            for _, element in maps.map_for(host).items():
-                assert element.total_duration(until=time) <= time + 1e-9
+            for spans in index.clip(host, 0.0, time).values():
+                assert sum(b - a for a, b in spans) <= time + 1e-9
+
+    @given(
+        link_scripts(),
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]), min_size=30, max_size=30),
+        st.lists(st.booleans(), min_size=30, max_size=30),
+    )
+    def test_appended_index_clips_equal_a_fresh_one(self, script, steps, reads):
+        """An index appended edge by edge, read between edges at the
+        same time as well, clips every window ending at the read time
+        (key order included) as an index built from scratch over the
+        same links does."""
+        graph = LinkGraph()
+        index = LinkIndex(graph.links, until=0.0)
+        live = []
+        time = 0.0
+        for (action, a, b), step, read in zip(script, steps, reads):
+            time += step
+            if action == "begin" and a != b:
+                live.append(graph.begin(AttackKind.ACTIVITY, a, b, time))
+            elif action == "end" and live:
+                graph.end(live.pop(a % len(live)), time)
+            if not read:
+                continue
+            index.commit(time)
+            fresh = LinkIndex(graph.links)
+            for host in graph.hosts():
+                for start in (0.0, time / 2, max(time - 1.0, 0.0)):
+                    appended = index.clip(host, start, time)
+                    assert list(appended.items()) == list(
+                        fresh.clip(host, start, time).items()
+                    )
